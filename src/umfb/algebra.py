@@ -54,6 +54,23 @@ def canonical_factors(factors: Mapping[Symbol, int]) -> Factors:
     return items
 
 
+def merge_factors(pairs: Iterable[tuple[Symbol, int]]) -> Factors:
+    """Factors of a product: exponents of repeated symbols summed, then sorted."""
+    merged: dict[Symbol, int] = {}
+    for sym, exp in pairs:
+        merged[sym] = merged.get(sym, 0) + exp
+    return tuple(sorted(merged.items()))
+
+
+def add_term(acc: dict, key: Factors, coeff) -> None:
+    """Add ``coeff`` to the term at ``key``, dropping the term if it cancels."""
+    v = acc.get(key, 0) + coeff
+    if v == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = v
+
+
 def _degree(factors: Factors) -> int:
     return sum(e for _, e in factors)
 
@@ -147,11 +164,7 @@ class FormulaPoly:
         self._check_compatible(other)
         acc = dict(self._terms)
         for k, c in other._terms.items():
-            s = acc.get(k, 0) + c
-            if s == 0:
-                acc.pop(k, None)
-            else:
-                acc[k] = s
+            add_term(acc, k, c)
         return FormulaPoly(self.n, self.m, acc)
 
     def __sub__(self, other: "FormulaPoly") -> "FormulaPoly":
@@ -162,15 +175,7 @@ class FormulaPoly:
         acc: dict[Factors, int | Fraction] = {}
         for fa, ca in self._terms.items():
             for fb, cb in other._terms.items():
-                merged = dict(fa)
-                for s, e in fb:
-                    merged[s] = merged.get(s, 0) + e
-                key = tuple(sorted(merged.items()))
-                v = acc.get(key, 0) + ca * cb
-                if v == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = v
+                add_term(acc, merge_factors(fa + fb), ca * cb)
         return FormulaPoly(self.n, self.m, acc)
 
     def scale(self, c) -> "FormulaPoly":
@@ -211,12 +216,7 @@ class FormulaPoly:
                     if coeff == 0:
                         break
             else:
-                key = tuple(sorted(kept.items()))
-                v = acc.get(key, 0) + coeff
-                if v == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = v
+                add_term(acc, tuple(sorted(kept.items())), coeff)
         out = FormulaPoly(self.n, self.m, acc)
         const = out.constant_value()
         return out if const is None else const
@@ -300,17 +300,10 @@ def relabel_shared(poly: FormulaPoly) -> FormulaPoly:
     """Collapse all inner function ids to 1 and re-collect like terms."""
     acc: dict[Factors, int | Fraction] = {}
     for factors, coeff in poly._terms.items():
-        merged: dict[Symbol, int] = {}
-        for sym, exp in factors:
-            if sym[0] == "g":
-                sym = ("g", 1, sym[2])
-            merged[sym] = merged.get(sym, 0) + exp
-        key = tuple(sorted(merged.items()))
-        v = acc.get(key, 0) + coeff
-        if v == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = v
+        key = merge_factors(
+            (("g", 1, sym[2]) if sym[0] == "g" else sym, exp) for sym, exp in factors
+        )
+        add_term(acc, key, coeff)
     return FormulaPoly(poly.n, poly.m, acc)
 
 

@@ -99,8 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     default="general")
     pc.add_argument("--format", choices=["text", "latex", "json"], default="text")
     pc.add_argument("-o", "--output", default=None)
-    pc.add_argument("--threads", type=int, default=0,
-                    help="0 = all cores (output is identical regardless)")
 
     pp = sub.add_parser("partitions", help="list partitions of a multi-index")
     pp.add_argument("-i", "--index", type=_parse_index, required=True)
@@ -148,7 +146,7 @@ def main(argv=None, out=None, err=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return _dispatch(args, parser, out, err)
+        return _dispatch(args, out, err)
     except TermCapExceeded as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CAP
@@ -157,7 +155,7 @@ def main(argv=None, out=None, err=None) -> int:
         return EXIT_USAGE
 
 
-def _dispatch(args, parser, out, err) -> int:
+def _dispatch(args, out, err) -> int:
     cmd = args.command
     if cmd == "compute":
         return _cmd_compute(args, out, err)
@@ -168,32 +166,24 @@ def _dispatch(args, parser, out, err) -> int:
     if cmd == "bench":
         return _cmd_bench(args, out, err)
     if cmd == "cumulants":
-        table = _load_table(args.table)
-        print(_rat(moments_to_cumulants(table, args.index)), file=out)
-        return EXIT_OK
-    if cmd == "moments":
-        table = _load_table(args.table)
-        print(_rat(cumulants_to_moments(table, args.index)), file=out)
-        return EXIT_OK
-    if cmd == "poisson":
+        value = moments_to_cumulants(_load_table(args.table), args.index)
+    elif cmd == "moments":
+        value = cumulants_to_moments(_load_table(args.table), args.index)
+    elif cmd == "poisson":
         if args.alpha == "unity":
             alpha = MomentSequence.unity()
         else:
             alpha = MomentSequence.from_values(_parse_vector(args.alpha))
-        table = _load_table(args.table)
-        print(_rat(compound_poisson_moments(alpha, table, args.index)), file=out)
-        return EXIT_OK
-    if cmd == "hermite":
+        value = compound_poisson_moments(alpha, _load_table(args.table), args.index)
+    else:  # hermite; argparse admits no other command
         sigma = _parse_matrix(args.sigma)
         x = _parse_vector(args.x)
         if args.route == "bell":
             value = hermite_via_bell(args.index, sigma, x)
         else:
             value = hermite(args.index, sigma, x, scaled=args.scaled)
-        print(_rat(value), file=out)
-        return EXIT_OK
-    parser.error(f"unknown command {cmd}")
-    return EXIT_USAGE
+    print(_rat(value), file=out)
+    return EXIT_OK
 
 
 def _cmd_compute(args, out, err) -> int:
@@ -261,12 +251,15 @@ def _load_bench_rows(path):
         return list(BUILTIN_BENCH_ROWS)
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            idx_text, n_text = line.split(";")
-            rows.append((_parse_index(idx_text), int(n_text)))
+            try:
+                idx_text, n_text = line.split(";")
+                rows.append((_parse_index(idx_text), int(n_text)))
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{path}, line {lineno}: bad row {line!r}: {exc}") from None
     return rows
 
 
@@ -311,7 +304,11 @@ def _cmd_bench(args, out, err) -> int:
 
 def _load_table(path) -> MomentTable:
     with open(path) as fh:
-        return MomentTable.from_json(fh.read())
+        text = fh.read()
+    try:
+        return MomentTable.from_json(text)
+    except (UmfbError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from itertools import product
 from math import factorial
 
 from . import series
-from .algebra import FormulaPoly
+from .algebra import FormulaPoly, add_term, merge_factors
 from .errors import MissingValue, TermCapExceeded, TruncationTooLarge
 from .multiindex import (
     Index,
@@ -170,35 +170,16 @@ def _check_cap(index: Index, n: int, cap: int | None):
         )
 
 
-def dot_power_expansion(
-    index: Index, outer: MomentSequence | None = None, inner_fn: int = 1
-) -> FormulaPoly:
-    """Expand one composite power over the partitions of ``index``.
+def dot_power_expansion(index: Index, outer: MomentSequence | None = None) -> FormulaPoly:
+    """Expand one composite power over the partitions of ``index``: the n = 1
+    case of `umfb`.
 
     With a symbolic outer (None) each partition contributes an outer symbol
     of univariate degree equal to the partition length; with a numeric outer
-    the sequence value at that length multiplies the coefficient.  Inner
-    factors are tagged with ``inner_fn``.
+    the sequence value at that length multiplies the coefficient.
     """
     index = as_index(index)
-    m = len(index)
-    acc: dict = {}
-    for weight, length, cols in _expansion(index):
-        coeff = weight
-        factors = {("g", inner_fn, col): mult for col, mult in cols}
-        if outer is None:
-            factors[("f", (length,))] = 1
-        else:
-            coeff = coeff * outer.at(length)
-            if coeff == 0:
-                continue
-        key = tuple(sorted(factors.items()))
-        v = acc.get(key, 0) + coeff
-        if v == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = v
-    return FormulaPoly(1, m, acc)
+    return umfb(CompositionSpec(index, 1, len(index), outer=outer))
 
 
 def umfb(spec: CompositionSpec, cap: int | None = None) -> FormulaPoly:
@@ -221,10 +202,11 @@ def generalized_bell(i: Index, n: int, m: int, cap: int | None = None) -> Formul
 
 @lru_cache(maxsize=None)
 def _tagged_expansion(index: Index, fn: int) -> tuple:
-    """Like `_expansion` but with the inner factors pre-built as sorted
-    (symbol, exponent) tuples for function id ``fn``."""
+    """Like `_expansion` but with the inner factors pre-built as
+    (symbol, exponent) tuples for function id ``fn``; columns are ascending,
+    so the factors come out sorted."""
     return tuple(
-        (weight, length, tuple(sorted((("g", fn, col), mult) for col, mult in cols)))
+        (weight, length, tuple((("g", fn, col), mult) for col, mult in cols))
         for weight, length, cols in _expansion(index)
     )
 
@@ -262,17 +244,10 @@ def _assemble(spec: CompositionSpec, bell: bool, cap: int | None) -> FormulaPoly
                 if coeff == 0:
                     continue
             if shared and n > 1:
-                merged: dict = {}
-                for sym, exp in items:
-                    merged[sym] = merged.get(sym, 0) + exp
-                key = tuple(sorted(merged.items()))
+                key = merge_factors(items)
             else:
                 key = tuple(sorted(items))
-            v = acc.get(key, 0) + coeff
-            if v == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = v
+            add_term(acc, key, coeff)
     return FormulaPoly(spec.n, spec.m, acc)
 
 

@@ -16,10 +16,6 @@ from .multiindex import Index, order
 Series = dict
 
 
-def zero() -> Series:
-    return {}
-
-
 def one(m: int) -> Series:
     return {(0,) * m: Fraction(1)}
 
@@ -56,29 +52,6 @@ def mul(p: Series, q: Series, cap: int) -> Series:
     return out
 
 
-def power(p: Series, e: int, cap: int) -> Series:
-    m = _width(p)
-    out = one(m)
-    for _ in range(e):
-        out = mul(out, p, cap)
-    return out
-
-
-def exp(p: Series, cap: int) -> Series:
-    """exp of a series with zero constant term, truncated at total degree cap."""
-    m = _width(p)
-    if p.get((0,) * m, 0) != 0:
-        raise ValueError("exp requires a zero constant term")
-    out = one(m)
-    term = one(m)
-    for r in range(1, cap + 1):
-        term = scale(mul(term, p, cap), Fraction(1, r))
-        if not term:
-            break
-        out = add(out, term)
-    return out
-
-
 def from_moments(values, m: int, cap: int) -> Series:
     """Exponential generating series sum_k g_k t^k / k! from a moment lookup.
 
@@ -107,8 +80,3 @@ def _index_factorial(k: Index) -> int:
         out *= factorial(e)
     return out
 
-
-def _width(p: Series) -> int:
-    for k in p:
-        return len(k)
-    raise ValueError("cannot infer variable count from an empty series")

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from itertools import product
+from math import comb, prod
 
 from .errors import DimensionMismatch, MissingValue, SingularSigma
 from .fdbcore import MomentSequence
@@ -57,46 +58,60 @@ class MomentTable:
 
     @classmethod
     def from_json(cls, text: str) -> "MomentTable":
-        data = json.loads(text)
-        return cls(
-            n=data["n"],
-            values={tuple(e["index"]): Fraction(e["value"]) for e in data["values"]},
-        )
+        try:
+            data = json.loads(text)
+            n = data["n"]
+            values = {tuple(e["index"]): Fraction(e["value"]) for e in data["values"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed moment table ({type(exc).__name__}: {exc})") from None
+        return cls(n=n, values=values)
 
 
-def _partition_sum(table_value, i: Index, outer_weight):
-    """sum over partitions of i of weight * outer_weight(length) * product of
-    table values at the columns."""
-    i = as_index(i)
-    if order(i) == 0:
-        return Fraction(1)
-    total = Fraction(0)
+def _partition_sum(i: Index, outer_weight, column_value, total=0):
+    """Sum over the partitions p of i of outer_weight(length) * coefficient(p)
+    * product of column_value(col)^mult, added to ``total``.  A term stops at
+    its first zero factor, so coefficients are computed for nonzero terms only."""
     for p in partitions(i):
         w = outer_weight(p.length)
         if w == 0:
             continue
-        val = w * p.coefficient()
+        powers = []
         for col, mult in p.columns:
-            val *= table_value(col) ** mult
-        total += val
+            v = column_value(col)
+            if v == 0:
+                break
+            powers.append(v**mult)
+        else:
+            val = w * p.coefficient()
+            for pw in powers:
+                val *= pw
+            total += val
     return total
+
+
+def _table_sum(table: MomentTable, i: Index, outer_weight):
+    """The partition sum over table values; exact, with the zero index at 1."""
+    i = as_index(i)
+    if order(i) == 0:
+        return Fraction(1)
+    return _partition_sum(i, outer_weight, table.value, Fraction(0))
 
 
 def moments_to_cumulants(mom: MomentTable, i: Index):
     """Cumulant at i from raw moments (log-series partition weights)."""
     weights = MomentSequence.cumulant_weights()
-    return _partition_sum(mom.value, i, weights.at)
+    return _table_sum(mom, i, weights.at)
 
 
 def cumulants_to_moments(cum: MomentTable, i: Index):
     """Raw moment at i from cumulants (unit partition weights)."""
-    return _partition_sum(cum.value, i, lambda k: 1)
+    return _table_sum(cum, i, lambda k: 1)
 
 
 def compound_poisson_moments(alpha: MomentSequence, mu: MomentTable, i: Index):
     """Moment at i of a random sum of iid vectors with moments ``mu``, the
     summand count being Poisson with randomized rate of moments ``alpha``."""
-    return _partition_sum(mu.value, i, alpha.at)
+    return _table_sum(mu, i, alpha.at)
 
 
 def laplace_derivative_sign(mom: MomentTable, i: Index):
@@ -110,7 +125,7 @@ def reciprocal_series_moment(mom: MomentTable, i: Index):
     """Coefficient at i (times i!) of the reciprocal of the moment generating
     function, via the partition expansion with weights (-1)^k k!."""
     weights = MomentSequence.reciprocal()
-    return _partition_sum(mom.value, i, weights.at)
+    return _table_sum(mom, i, weights.at)
 
 
 # -- symmetric matrices -----------------------------------------------------
@@ -172,13 +187,12 @@ def _invert(rows, exact: bool):
             if r != c and aug[r][c]:
                 f = aug[r][c]
                 aug[r] = [e - f * p for e, p in zip(aug[r], aug[c])]
-    return tuple(tuple(r[n:]) for r in aug)
+    # float elimination need not keep exact symmetry: mirror the upper triangle
+    return tuple(tuple(aug[min(a, b)][n + max(a, b)] for b in range(n)) for a in range(n))
 
 
 def _matvec(x, mat: SymmetricMatrix):
     n = mat.dimension
-    if len(x) != n:
-        raise DimensionMismatch(f"vector length {len(x)} != matrix dimension {n}")
     return tuple(sum(x[a] * mat.rows[a][b] for a in range(n)) for b in range(n))
 
 
@@ -191,18 +205,11 @@ def _gaussian_power(j: Index, quad: SymmetricMatrix):
     j = as_index(j)
     if order(j) == 0:
         return Fraction(1) if quad.exact else 1.0
-    total = 0
-    for p in partitions(j):
-        val = (-1) ** p.length * p.coefficient()
-        ok = True
-        for col, mult in p.columns:
-            if order(col) != 2:
-                ok = False
-                break
-            val *= quad.entry_at(col) ** mult
-        if ok:
-            total += val
-    return total
+
+    def entry(col: Index):
+        return quad.entry_at(col) if order(col) == 2 else 0
+
+    return _partition_sum(j, MomentSequence.alternating().at, entry)
 
 
 def hermite(i: Index, sigma: SymmetricMatrix, x, scaled: str = "H"):
@@ -213,8 +220,7 @@ def hermite(i: Index, sigma: SymmetricMatrix, x, scaled: str = "H"):
     uses the covariance itself with shift x.
     """
     i = as_index(i)
-    if len(i) != sigma.dimension:
-        raise DimensionMismatch(f"index {i} vs matrix dimension {sigma.dimension}")
+    _check_dimensions(i, sigma, x)
     if scaled == "H":
         quad = sigma.inverse()
         shift = _matvec(x, quad)
@@ -224,7 +230,7 @@ def hermite(i: Index, sigma: SymmetricMatrix, x, scaled: str = "H"):
     else:
         raise ValueError(f"unknown variant {scaled!r}")
     total = 0
-    for k in _subindices(i):
+    for k in product(*(range(e + 1) for e in i)):
         binom = prod(comb(a, b) for a, b in zip(i, k))
         rest = tuple(a - b for a, b in zip(i, k))
         shift_pow = prod(s**e for s, e in zip(shift, k) if e)
@@ -237,8 +243,7 @@ def hermite_via_bell(i: Index, sigma: SymmetricMatrix, x):
     quadratic moment sequence (order-1 moments x*Sigma^-1, order-2 moments
     Sigma^-1); must agree with `hermite(..., scaled='H')` exactly."""
     i = as_index(i)
-    if len(i) != sigma.dimension:
-        raise DimensionMismatch(f"index {i} vs matrix dimension {sigma.dimension}")
+    _check_dimensions(i, sigma, x)
     if order(i) == 0:
         return Fraction(1) if sigma.exact else 1.0
     inv = sigma.inverse()
@@ -252,23 +257,16 @@ def hermite_via_bell(i: Index, sigma: SymmetricMatrix, x):
             return inv.entry_at(col)
         return 0
 
-    total = 0
-    for p in partitions(i):
-        val = (-1) ** p.length * p.coefficient()
-        for col, mult in p.columns:
-            mv = moment(col)
-            if mv == 0:
-                val = 0
-                break
-            val *= mv**mult
-        total += val
+    total = _partition_sum(i, MomentSequence.alternating().at, moment)
     return (-1) ** order(i) * total
 
 
-def _subindices(i: Index):
-    from itertools import product as iproduct
-
-    return iproduct(*(range(e + 1) for e in i))
+def _check_dimensions(i: Index, sigma: SymmetricMatrix, x):
+    n = sigma.dimension
+    if len(i) != n:
+        raise DimensionMismatch(f"index {i} vs matrix dimension {n}")
+    if len(x) != n:
+        raise DimensionMismatch(f"point of length {len(x)} vs matrix dimension {n}")
 
 
 def _rat_str(v) -> str:

@@ -143,6 +143,40 @@ def test_hermite_missing_table_is_usage_error(tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2}',
+        '{"values": [{"index": [1, 0], "value": "1"}]}',
+        '{"n": 2, "values": [1, 2]}',
+        '[{"n": 2, "values": []}]',
+    ],
+    ids=["missing-values", "missing-n", "non-object-entries", "top-level-list"],
+)
+def test_malformed_table_is_usage_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(["cumulants", "--table", str(path), "-i", "1,1"])
+    assert code == 2 and out == ""
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_bench_bad_row_is_usage_error(tmp_path):
+    rows = tmp_path / "rows.txt"
+    rows.write_text("1,1;2\nx,y;2\n")
+    code, out, err = run(["bench", "--rows", str(rows)])
+    assert code == 2 and out == ""
+    assert f"{rows}, line 2" in err and "Traceback" not in err
+
+
+def test_hermite_point_length_is_usage_error():
+    for x in ("1", "1,0,5"):
+        argv = ["hermite", "-i", "1,1", "--sigma", "2,1;1,3", "-x", x, "--scaled", "H-tilde"]
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert "point of length" in err
+
+
 def test_usage_errors():
     assert run(["compute"])[0] == 2
     assert run(["nope"])[0] == 2
@@ -157,8 +191,3 @@ def test_term_cap_exit_code(monkeypatch):
     assert code == 3
     assert "cap" in err
 
-
-def test_threads_flag_does_not_change_output():
-    base = run(["compute", "-i", "2,1", "-n", "2", "--format", "json"])[1]
-    for t in ("1", "4"):
-        assert run(["compute", "-i", "2,1", "-n", "2", "--threads", t, "--format", "json"])[1] == base

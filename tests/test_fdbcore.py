@@ -179,9 +179,14 @@ def test_variable_permutation_symmetry():
         assert FormulaPoly.from_terms(2, 2, relabeled) == base
 
 
-def test_term_cap():
+def test_term_cap(monkeypatch):
     with pytest.raises(TermCapExceeded):
         umfb(CompositionSpec(index=(3, 3), n=2, m=2), cap=10)
+    monkeypatch.setenv("UMFB_TERM_CAP", str(count_partitions((3, 3)) - 1))
+    with pytest.raises(TermCapExceeded):
+        dot_power_expansion((3, 3))
+    monkeypatch.setenv("UMFB_TERM_CAP", str(count_partitions((3, 3))))
+    assert len(dot_power_expansion((3, 3))) == count_partitions((3, 3))
     with pytest.raises(TermCapExceeded):
         from umfb.oracle import chain_rule_derivative
 

@@ -220,6 +220,25 @@ def test_float_inverse():
     assert not inv.exact
 
 
+def test_float_inverse_is_symmetric():
+    # float elimination leaves this inverse off-symmetric in the last bits
+    rows = ((2, 1, 0), (1, 2, 1), (0, 1, 2))
+    sigma_f = SymmetricMatrix(tuple(tuple(float(e) for e in r) for r in rows))
+    sigma_q = SymmetricMatrix(tuple(tuple(Fraction(e) for e in r) for r in rows))
+    inv = sigma_f.inverse()
+    assert not inv.exact
+    for a, b in ((0, 0), (0, 1), (1, 1), (1, 2)):
+        assert abs(inv.rows[a][b] - sigma_q.inverse().rows[a][b]) < 1e-12
+    x_f, x_q = (0.5,) * 3, (Fraction(1, 2),) * 3
+    for i in ((1, 0, 0), (2, 1, 1), (0, 2, 2)):
+        exact = hermite(i, sigma_q, x_q)
+        for approx in (hermite(i, sigma_f, x_f), hermite_via_bell(i, sigma_f, x_f)):
+            assert isinstance(approx, float)
+            assert abs(approx - exact) <= 1e-9 * max(1, abs(exact)), (i, exact, approx)
+    zero = hermite((0, 0, 0), sigma_f, x_f)
+    assert zero == 1.0 and isinstance(zero, float)
+
+
 # -- Hermite polynomials ----------------------------------------------------
 
 UNIT = SymmetricMatrix(((Fraction(1),),))
@@ -307,5 +326,12 @@ def test_hermite_float_close_to_exact():
 def test_hermite_dimension_check():
     with pytest.raises(DimensionMismatch):
         hermite((1, 0), UNIT, (Fraction(1),))
+    sigma = SymmetricMatrix(((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3))))
+    for x in ((Fraction(1),), (Fraction(1), Fraction(0), Fraction(5))):
+        for scaled in ("H", "H-tilde"):
+            with pytest.raises(DimensionMismatch):
+                hermite((1, 1), sigma, x, scaled=scaled)
+        with pytest.raises(DimensionMismatch):
+            hermite_via_bell((1, 1), sigma, x)
     with pytest.raises(ValueError):
         hermite((1,), UNIT, (Fraction(1),), scaled="bogus")
