@@ -257,7 +257,10 @@ def _load_bench_rows(path):
                 continue
             try:
                 idx_text, n_text = line.split(";")
-                rows.append((_parse_index(idx_text), int(n_text)))
+                index, n = _parse_index(idx_text), int(n_text)
+                if n < 1:
+                    raise ValueError("n must be >= 1")
+                rows.append((index, n))
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}, line {lineno}: bad row {line!r}: {exc}") from None
     return rows

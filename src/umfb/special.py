@@ -1,17 +1,22 @@
 """Moment/cumulant conversions, compound-Poisson moments, Laplace-transform
 derivative signs and multivariate Hermite polynomials.
 
-Everything here is a numeric evaluation of the partition expansion with a
-particular outer weight sequence, so the heavy lifting stays in one place.
+Everything here is a numeric evaluation of the partition expansion: an
+outer weight sequence w composed with an inner multi-index sequence v, i.e.
+sum_k w(k) B_{i,k}(v) over the multivariate partial Bell polynomials B.  The
+table and Hermite routes read B from rows filled once per inner sequence by a
+first-order recurrence (`_bell_row`); `hermite_via_bell` keeps the explicit
+partition enumeration (`_partition_sum`) as an independent route.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
+from types import MappingProxyType
 
 from .errors import DimensionMismatch, MissingValue, SingularSigma
 from .fdbcore import MomentSequence
@@ -20,19 +25,25 @@ from .multiindex import Index, as_index, order, partitions
 FLOAT_PIVOT_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentTable:
     """Exact moments (or cumulants) of an n-dimensional sequence, complete up
-    to total order K; the zero index is implicitly 1."""
+    to total order K; the zero index is implicitly 1.
+
+    ``values`` is a read-only mapping, so the partial Bell rows the table
+    routes memoise on the table (``_bell_rows``) cannot go stale."""
 
     n: int
     values: dict
+    _bell_rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = {as_index(k): v for k, v in self.values.items()}
-        for k in self.values:
+        values = {as_index(k): v for k, v in self.values.items()}
+        for k in values:
             if len(k) != self.n:
                 raise DimensionMismatch(f"index {k} has length != n={self.n}")
+        object.__setattr__(self, "values", MappingProxyType(values))
+        object.__setattr__(self, "_bell_rows", {(0,) * self.n: [1]})
 
     def value(self, i: Index):
         i = as_index(i)
@@ -89,12 +100,51 @@ def _partition_sum(i: Index, outer_weight, column_value, total=0):
     return total
 
 
+def _bell_row(memo: dict, i: Index, column_value) -> list:
+    """Fill memo[j] = [B_{j,0}, ..., B_{j,|j|}] for every j <= i, in
+    lexicographic order, and return memo[i].  B_{j,k} is the partial Bell
+    polynomial of the inner sequence ``column_value`` (the sum over the
+    partitions of j into k columns of coefficient * product of values), by
+
+        B_{j,k} = sum_{0 < c <= j, c_r >= 1} C(j - e_r, c - e_r) v(c) B_{j-c,k-1}
+
+    with r the first nonzero coordinate of j: c is the column holding the
+    first unit of coordinate r.  ``memo`` must hold the zero index as [1];
+    zero values are skipped."""
+    row = memo.get(i)
+    if row is not None:
+        return row
+    for j in product(*(range(e + 1) for e in i)):
+        if j in memo:
+            continue
+        r = next(a for a, e in enumerate(j) if e)
+        row = [0] * (order(j) + 1)
+        ranges = [range(e + 1) for e in j]
+        ranges[r] = range(1, j[r] + 1)
+        for c in product(*ranges):
+            v = column_value(c)
+            if v == 0:
+                continue
+            cv = v * prod(comb(a - (s == r), b - (s == r))
+                          for s, (a, b) in enumerate(zip(j, c)))
+            sub = memo[tuple(a - b for a, b in zip(j, c))]
+            for k, b in enumerate(sub, start=1):
+                if b:
+                    row[k] += cv * b
+        memo[j] = row
+    return memo[i]
+
+
 def _table_sum(table: MomentTable, i: Index, outer_weight):
-    """The partition sum over table values; exact, with the zero index at 1."""
+    """The Bell sum over table values; exact, with the zero index at 1.
+    Every weight w(1..|i|) is read, and every value below i: a gap raises
+    MissingValue even where the terms it enters vanish."""
     i = as_index(i)
     if order(i) == 0:
         return Fraction(1)
-    return _partition_sum(i, outer_weight, table.value, Fraction(0))
+    weights = [outer_weight(k) for k in range(1, order(i) + 1)]
+    row = _bell_row(table._bell_rows, i, table.value)
+    return sum((w * b for w, b in zip(weights, row[1:]) if w and b), Fraction(0))
 
 
 def moments_to_cumulants(mom: MomentTable, i: Index):
@@ -199,17 +249,14 @@ def _matvec(x, mat: SymmetricMatrix):
 # -- Hermite polynomials ----------------------------------------------------
 
 
-def _gaussian_power(j: Index, quad: SymmetricMatrix):
-    """Value of the centered-part power at j: partitions with all columns of
-    order 2, weighted by (-1)^length and the matching quadratic-form entries."""
-    j = as_index(j)
-    if order(j) == 0:
-        return Fraction(1) if quad.exact else 1.0
+_hermite_slot: tuple = (None, None, None)  # (key, bell rows, column values)
 
-    def entry(col: Index):
-        return quad.entry_at(col) if order(col) == 2 else 0
 
-    return _partition_sum(j, MomentSequence.alternating().at, entry)
+def _zero(sigma: SymmetricMatrix, x):
+    """The start of a Hermite sum: 0.0 if any input is a float, else exact."""
+    if sigma.exact and not any(isinstance(e, float) for e in x):
+        return Fraction(0)
+    return 0.0
 
 
 def hermite(i: Index, sigma: SymmetricMatrix, x, scaled: str = "H"):
@@ -217,25 +264,41 @@ def hermite(i: Index, sigma: SymmetricMatrix, x, scaled: str = "H"):
 
     ``scaled='H'`` uses the inverse covariance both as the quadratic form and
     in the shift x*Sigma^-1; ``scaled='H-tilde'`` (the orthogonal variant)
-    uses the covariance itself with shift x.
+    uses the covariance itself with shift x.  Either is the coefficient of
+    exp(shift.t - t Q t / 2), i.e. sum_k B_{i,k} over the inner sequence with
+    order-1 values shift and order-2 values -Q.  The Bell rows of the last
+    (Sigma, x, variant) are kept, so a table of values costs one recurrence.
     """
+    global _hermite_slot
     i = as_index(i)
     _check_dimensions(i, sigma, x)
-    if scaled == "H":
-        quad = sigma.inverse()
-        shift = _matvec(x, quad)
-    elif scaled == "H-tilde":
-        quad = sigma
-        shift = tuple(x)
-    else:
+    if scaled not in ("H", "H-tilde"):
         raise ValueError(f"unknown variant {scaled!r}")
-    total = 0
-    for k in product(*(range(e + 1) for e in i)):
-        binom = prod(comb(a, b) for a, b in zip(i, k))
-        rest = tuple(a - b for a, b in zip(i, k))
-        shift_pow = prod(s**e for s, e in zip(shift, k) if e)
-        total += binom * shift_pow * _gaussian_power(rest, quad)
-    return total
+    zero = _zero(sigma, x)
+    # Fractions and floats of equal value compare equal: key on the zero too
+    key = (sigma.rows, tuple(x), scaled, type(zero))
+    slot = _hermite_slot
+    if slot[0] != key:
+        if scaled == "H":
+            quad = sigma.inverse()
+            shift = _matvec(x, quad)
+        else:
+            quad = sigma
+            shift = tuple(x)
+
+        def column(col: Index):
+            d = order(col)
+            if d == 1:
+                return shift[col.index(1)]
+            if d == 2:
+                return -quad.entry_at(col)
+            return 0
+
+        slot = _hermite_slot = (key, {(0,) * len(i): [1]}, column)
+    if order(i) == 0:
+        return Fraction(1) if sigma.exact else 1.0
+    _, memo, column = slot
+    return sum(_bell_row(memo, i, column)[1:], zero)
 
 
 def hermite_via_bell(i: Index, sigma: SymmetricMatrix, x):
@@ -257,7 +320,7 @@ def hermite_via_bell(i: Index, sigma: SymmetricMatrix, x):
             return inv.entry_at(col)
         return 0
 
-    total = _partition_sum(i, MomentSequence.alternating().at, moment)
+    total = _partition_sum(i, MomentSequence.alternating().at, moment, _zero(sigma, x))
     return (-1) ** order(i) * total
 
 

@@ -54,6 +54,19 @@ def brute_partitions_with_counts(i):
     return dict(out)
 
 
+def partition_sum(i, weight, value):
+    """sum_k weight(k) B_{i,k}(value), written as the explicit sum over the
+    partitions of i (from labelled set partitions) of count * weight(length)
+    * prod value(col)^mult, exact from Fraction(0)."""
+    total = Fraction(0)
+    for key, count in brute_partitions_with_counts(i).items():
+        term = count * weight(sum(mult for _, mult in key))
+        for col, mult in key:
+            term *= value(col) ** mult
+        total += term
+    return total
+
+
 def bell_number(d):
     return sum(1 for _ in set_partitions(list(range(d))))
 

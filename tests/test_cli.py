@@ -169,6 +169,15 @@ def test_bench_bad_row_is_usage_error(tmp_path):
     assert f"{rows}, line 2" in err and "Traceback" not in err
 
 
+def test_bench_row_with_n_below_one_names_the_line(tmp_path):
+    rows = tmp_path / "rows.txt"
+    rows.write_text("# n must be positive\n1,1;0\n")
+    code, out, err = run(["bench", "--rows", str(rows)])
+    assert code == 2 and out == ""
+    assert f"{rows}, line 2" in err and "n must be >= 1" in err
+    assert "Traceback" not in err
+
+
 def test_hermite_point_length_is_usage_error():
     for x in ("1", "1,0,5"):
         argv = ["hermite", "-i", "1,1", "--sigma", "2,1;1,3", "-x", x, "--scaled", "H-tilde"]

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from random import Random
 
@@ -51,6 +52,40 @@ def test_moment_table_json_round_trip():
     back = MomentTable.from_json(t.to_json())
     assert back.n == t.n and back.values == t.values
     assert '"5/1"' not in t.to_json()  # integers serialize without denominator
+
+
+def test_moment_table_values_are_read_only():
+    # the table routes memoise Bell rows on the table; its values cannot change
+    values = {(1, 0): Fraction(-2, 3), (0, 1): 4, (1, 1): Fraction(5)}
+    t = MomentTable(n=2, values=values)
+    with pytest.raises(TypeError):
+        t.values[(1, 0)] = 7
+    with pytest.raises(FrozenInstanceError):
+        t.values = {}
+    values[(1, 0)] = 7  # the table keeps its own copy
+    assert t.value((1, 0)) == Fraction(-2, 3)
+    assert cumulants_to_moments(t, (1, 1)) == 5 + Fraction(-2, 3) * 4
+    back = MomentTable.from_json(t.to_json())
+    assert back == t and back.values == t.values and back.to_json() == t.to_json()
+    assert t == MomentTable(n=2, values={(1, 0): Fraction(-2, 3), (0, 1): 4, (1, 1): 5})
+    assert t != MomentTable(n=2, values={(1, 0): 1, (0, 1): 4, (1, 1): 5})
+
+
+def test_gap_below_index_raises_on_every_table_route():
+    # (1,1) is missing below (2,1).  Its one partition, (1,0) (1,1), has a zero
+    # value at (1,0) and, for the Poisson route, a zero weight at length 2;
+    # every table route still reads the whole box below the index.
+    values = {(1, 0): Fraction(0), (0, 1): 1, (2, 0): 2, (2, 1): 3}
+    alpha = MomentSequence.from_values([1, 0, 1])
+    routes = (
+        moments_to_cumulants,
+        cumulants_to_moments,
+        reciprocal_series_moment,
+        lambda t, i: compound_poisson_moments(alpha, t, i),
+    )
+    for route in routes:
+        with pytest.raises(MissingValue, match=r"\(1, 1\)"):
+            route(MomentTable(n=2, values=values), (2, 1))
 
 
 # -- cumulants --------------------------------------------------------------
@@ -145,6 +180,15 @@ def test_compound_poisson_matches_exponentiated_rate_series():
     )
     for i in all_indices(2, 3):
         assert series_moment(composed, i) == compound_poisson_moments(alpha, mu, i), i
+
+
+def test_compound_poisson_short_alpha_raises():
+    # the order-1 values vanish, so B_{i,|i|} = 0, yet alpha at |i| is read
+    mu = MomentTable(n=2, values={(1, 0): 0, (0, 1): 0, (2, 0): 1, (1, 1): 2, (0, 2): 3})
+    short = MomentSequence.from_values([Fraction(1, 2)])
+    with pytest.raises(MissingValue):
+        compound_poisson_moments(short, mu, (1, 1))
+    assert compound_poisson_moments(MomentSequence.unity(), mu, (1, 1)) == 2
 
 
 # -- Laplace signs ----------------------------------------------------------
@@ -321,6 +365,36 @@ def test_hermite_float_close_to_exact():
         approx = hermite(i, sigma_f, x_f)
         tol = 1e-9 * max(1, abs(exact))
         assert abs(approx - exact) <= tol, (i, exact, approx)
+
+
+def test_hermite_order_zero_inverts_sigma_first():
+    singular = SymmetricMatrix(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
+    origin = (Fraction(0), Fraction(0))
+    with pytest.raises(SingularSigma):
+        hermite((0, 0), singular, origin)
+    # the orthogonal variant never inverts Sigma
+    assert hermite((0, 0), singular, origin, scaled="H-tilde") == 1
+
+
+def test_hermite_memo_keeps_float_and_exact_apart():
+    # Fractions and floats of equal value compare and hash equal
+    sigma_f = SymmetricMatrix(((1.0,),))
+    for _ in range(2):
+        for scaled in ("H", "H-tilde"):
+            approx = hermite((3,), sigma_f, (0.5,), scaled=scaled)
+            assert type(approx) is float and approx == -1.375
+            exact = hermite((3,), UNIT, (Fraction(1, 2),), scaled=scaled)
+            assert type(exact) is Fraction and exact == Fraction(-11, 8)
+            mixed = hermite((3,), UNIT, (0.5,), scaled=scaled)
+            assert type(mixed) is float and mixed == -1.375
+
+
+def test_hermite_exact_zero_is_a_fraction():
+    for route in (hermite, hermite_via_bell):
+        got = route((1,), UNIT, (0,))
+        assert got == 0 and type(got) is Fraction, route
+        got = route((1,), SymmetricMatrix(((1.0,),)), (0.0,))
+        assert got == 0 and type(got) is float, route
 
 
 def test_hermite_dimension_check():
