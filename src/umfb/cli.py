@@ -14,7 +14,7 @@ from itertools import product
 
 from .algebra import FormulaPoly
 from .errors import TermCapExceeded, UmfbError
-from .fdbcore import CompositionSpec, generalized_bell, umfb
+from .fdbcore import CompositionSpec, _check_cap, generalized_bell, umfb
 from .multiindex import as_index, count_partitions, order, partitions
 from .oracle import chain_rule_derivative, equivalence_check
 from .special import (
@@ -158,7 +158,7 @@ def main(argv=None, out=None, err=None) -> int:
 def _dispatch(args, out, err) -> int:
     cmd = args.command
     if cmd == "compute":
-        return _cmd_compute(args, out, err)
+        return _cmd_compute(args, out)
     if cmd == "partitions":
         return _cmd_partitions(args, out)
     if cmd == "verify":
@@ -186,12 +186,9 @@ def _dispatch(args, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_compute(args, out, err) -> int:
+def _cmd_compute(args, out) -> int:
     i = args.index
     m = args.m if args.m is not None else len(i)
-    if len(i) != m:
-        print(f"error: index {i} has length != m={m}", file=err)
-        return EXIT_USAGE
     n = args.n if args.n is not None else m
     if args.mode == "uni-outer":
         n = 1
@@ -218,6 +215,7 @@ def _cmd_partitions(args, out) -> int:
     if args.count_only:
         _write(out, str(count_partitions(i)), args.output)
     else:
+        _check_cap(i, 1)
         lines = "\n".join(_format_partition(p) for p in partitions(i))
         _write(out, lines, args.output)
     return EXIT_OK

@@ -137,36 +137,29 @@ def _expansion(index: Index) -> tuple:
     return tuple((p.coefficient(), p.length, p.columns) for p in partitions(index))
 
 
-def term_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(TERM_CAP_ENV)
-    return int(env) if env else DEFAULT_TERM_CAP
-
-
 def predict_term_count(index: Index, n: int) -> int:
-    """Upper bound on output terms: sum over decompositions of the product of
-    per-part partition counts (exact in distinct mode with symbolic outer)."""
+    """Upper bound on output terms: the number of n-tuples of partitions
+    summing to ``index`` (exact in distinct mode with symbolic outer)."""
     index = as_index(index)
-
-    def pcount(k: Index) -> int:
-        return 1 if order(k) == 0 else count_partitions(k)
-
-    total = 0
-    for parts in compositions_into(index, n):
-        prod_ = 1
-        for k in parts:
-            prod_ *= pcount(k)
-        total += prod_
-    return total
+    return 1 if order(index) == 0 else count_partitions(index, n)
 
 
-def _check_cap(index: Index, n: int, cap: int | None):
-    limit = term_cap(cap)
+def _check_cap(index: Index, n: int):
+    """Raise TermCapExceeded, before any enumeration, when the predicted term
+    count exceeds the cap read from UMFB_TERM_CAP (default DEFAULT_TERM_CAP);
+    a value that is not a nonnegative integer is a usage error."""
+    env = os.environ.get(TERM_CAP_ENV)
+    try:
+        limit = int(env) if env else DEFAULT_TERM_CAP
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"{TERM_CAP_ENV}={env!r} is not a nonnegative integer")
     predicted = predict_term_count(index, n)
     if predicted > limit:
         raise TermCapExceeded(
-            f"predicted {predicted} terms exceeds cap {limit} for index {index}, n={n}"
+            f"predicted {predicted} terms exceeds the term cap {TERM_CAP_ENV}={limit} "
+            f"for index {index}, n={n}"
         )
 
 
@@ -182,22 +175,22 @@ def dot_power_expansion(index: Index, outer: MomentSequence | None = None) -> Fo
     return umfb(CompositionSpec(index, 1, len(index), outer=outer))
 
 
-def umfb(spec: CompositionSpec, cap: int | None = None) -> FormulaPoly:
+def umfb(spec: CompositionSpec) -> FormulaPoly:
     """The compressed multivariate Faa di Bruno formula for ``spec``.
 
     Outer powers are collected into a single outer symbol indexed by the
     per-function partition lengths; in shared mode inner function ids
     collapse to 1 before collection.
     """
-    return _assemble(spec, bell=False, cap=cap)
+    return _assemble(spec, bell=False)
 
 
-def generalized_bell(i: Index, n: int, m: int, cap: int | None = None) -> FormulaPoly:
+def generalized_bell(i: Index, n: int, m: int) -> FormulaPoly:
     """Same expansion as `umfb` with the outer symbol rendered as a monomial
     in the indeterminates x1..xn; substituting xj by the outer moments
     recovers the `umfb` output."""
     spec = CompositionSpec(index=as_index(i), n=n, m=m)
-    return _assemble(spec, bell=True, cap=cap)
+    return _assemble(spec, bell=True)
 
 
 @lru_cache(maxsize=None)
@@ -211,10 +204,10 @@ def _tagged_expansion(index: Index, fn: int) -> tuple:
     )
 
 
-def _assemble(spec: CompositionSpec, bell: bool, cap: int | None) -> FormulaPoly:
+def _assemble(spec: CompositionSpec, bell: bool) -> FormulaPoly:
     i, n = spec.index, spec.n
     shared = spec.inner_mode == "shared"
-    _check_cap(i, n, cap)
+    _check_cap(i, n)
     acc: dict = {}
     for parts in compositions_into(i, n):
         base = multinomial(i, parts)

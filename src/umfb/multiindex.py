@@ -12,9 +12,8 @@ All arithmetic is exact big-integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
-from math import comb, factorial, prod
+from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PartsMismatch, ZeroIndex
@@ -165,24 +164,26 @@ def partitions(i: Index) -> Iterator[Partition]:
         yield Partition(tuple(grouped))
 
 
-@lru_cache(maxsize=None)
-def _count(residual: Index, bound: Index) -> int:
-    if not any(residual):
-        return 1
-    return sum(
-        _count(index_sub(residual, col), col)
-        for col in _candidate_columns(residual, bound)
-    )
+def count_partitions(i: Index, n: int = 1) -> int:
+    """Number of n-tuples of partitions of multi-indices summing to i.
 
-
-def count_partitions(i: Index) -> int:
-    """Number of partitions of i, computed without materializing them."""
+    This is the coefficient of x^i in prod_{c != 0} (1 - x^c)^(-n), computed
+    without materializing any partition: each factor 1/(1 - x^c) is applied
+    by one in-place forward pass over the box 0 <= k <= i, and walking k in
+    lex order completes count[k] before it is added into count[k + c].  With
+    n = 1 it counts the partitions of i; with n inner functions it is the
+    term count of the distinct-mode formula.
+    """
     i = as_index(i)
     if order(i) == 0:
         raise ZeroIndex("the zero multi-index has no partitions")
-    return _count(i, i)
-
-
-def composition_count(i: Index, n: int) -> int:
-    """Number of ordered n-part decompositions of i."""
-    return prod(comb(e + n - 1, n - 1) for e in as_index(i))
+    count = dict.fromkeys(product(*(range(e + 1) for e in i)), 0)
+    count[(0,) * len(i)] = 1
+    for c in count:
+        if not any(c):
+            continue
+        span = [range(e - d + 1) for e, d in zip(i, c)]
+        for _ in range(n):
+            for k in product(*span):
+                count[tuple(a + b for a, b in zip(k, c))] += count[k]
+    return count[i]

@@ -81,7 +81,7 @@ def differentiate_once(state: DerivativeState, r: int) -> DerivativeState:
     return DerivativeState(poly=FormulaPoly(n, m, acc), applied=applied)
 
 
-def chain_rule_derivative(spec: CompositionSpec, cap: int | None = None) -> FormulaPoly:
+def chain_rule_derivative(spec: CompositionSpec) -> FormulaPoly:
     """The derivative of order ``spec.index`` by repeated chain rule.
 
     Differentiates variables in increasing order; the result is independent
@@ -89,7 +89,7 @@ def chain_rule_derivative(spec: CompositionSpec, cap: int | None = None) -> Form
     matching the compressed route.
     """
     i = as_index(spec.index)
-    _check_cap(i, spec.n, cap)
+    _check_cap(i, spec.n)
     state = DerivativeState.initial(spec.n, spec.m)
     for r, times in enumerate(i, start=1):
         for _ in range(times):

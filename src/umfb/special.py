@@ -296,7 +296,7 @@ def hermite(i: Index, sigma: SymmetricMatrix, x, scaled: str = "H"):
 
         slot = _hermite_slot = (key, {(0,) * len(i): [1]}, column)
     if order(i) == 0:
-        return Fraction(1) if sigma.exact else 1.0
+        return zero + 1
     _, memo, column = slot
     return sum(_bell_row(memo, i, column)[1:], zero)
 
@@ -307,8 +307,9 @@ def hermite_via_bell(i: Index, sigma: SymmetricMatrix, x):
     Sigma^-1); must agree with `hermite(..., scaled='H')` exactly."""
     i = as_index(i)
     _check_dimensions(i, sigma, x)
+    zero = _zero(sigma, x)
     if order(i) == 0:
-        return Fraction(1) if sigma.exact else 1.0
+        return zero + 1
     inv = sigma.inverse()
     shift = _matvec(x, inv)
 
@@ -320,7 +321,7 @@ def hermite_via_bell(i: Index, sigma: SymmetricMatrix, x):
             return inv.entry_at(col)
         return 0
 
-    total = _partition_sum(i, MomentSequence.alternating().at, moment, _zero(sigma, x))
+    total = _partition_sum(i, MomentSequence.alternating().at, moment, zero)
     return (-1) ** order(i) * total
 
 

@@ -74,8 +74,8 @@ def test_verify_small_sweep():
 def test_verify_detects_forced_bug(monkeypatch):
     real = cli.umfb
 
-    def broken(spec, cap=None):
-        poly = real(spec, cap)
+    def broken(spec):
+        poly = real(spec)
         if sum(spec.index) >= 2:
             return poly + poly  # double every coefficient
         return poly
@@ -198,5 +198,32 @@ def test_term_cap_exit_code(monkeypatch):
     monkeypatch.setenv("UMFB_TERM_CAP", "3")
     code, _, err = run(["compute", "-i", "2,2", "-n", "2"])
     assert code == 3
-    assert "cap" in err
+    assert "cap" in err and "UMFB_TERM_CAP=3" in err
+
+
+def test_partitions_listing_is_capped(monkeypatch):
+    monkeypatch.setenv("UMFB_TERM_CAP", "8")
+    code, out, err = run(["partitions", "-i", "2,2"])
+    assert code == 3 and out == ""
+    assert "predicted 9 terms" in err and "UMFB_TERM_CAP=8" in err
+    # counting enumerates nothing, so it stays unguarded
+    code, out, _ = run(["partitions", "-i", "2,2", "--count-only"])
+    assert code == 0 and out.strip() == "9"
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_malformed_term_cap_is_a_usage_error(monkeypatch, value):
+    monkeypatch.setenv("UMFB_TERM_CAP", value)
+    for argv in (["compute", "-i", "1,1"], ["partitions", "-i", "1,1"]):
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert f"UMFB_TERM_CAP={value!r} is not a nonnegative integer" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["general", "bell"])
+def test_compute_index_length_must_match_m(mode):
+    code, out, err = run(["compute", "-i", "1,1", "-m", "3", "--mode", mode])
+    assert code == 2 and out == ""
+    assert "index (1, 1) has length != m=3" in err
 

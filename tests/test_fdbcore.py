@@ -16,6 +16,7 @@ from umfb.fdbcore import (
     umfb,
 )
 from umfb.multiindex import count_partitions, order
+from umfb.oracle import chain_rule_derivative
 
 from helpers import all_indices, bell_number, random_moment_values
 
@@ -155,9 +156,11 @@ def test_coefficient_positivity():
 
 
 def test_predicted_count_matches_distinct_output():
-    for i, n in [((2, 2), 2), ((1, 1, 1), 3), ((3, 1), 2)]:
-        got = umfb(CompositionSpec(index=i, n=n, m=len(i)))
-        assert predict_term_count(i, n) == len(got)
+    for m in (1, 2, 3):
+        for i in all_indices(m, 6):
+            for n in (1, 2, 3):
+                got = umfb(CompositionSpec(index=i, n=n, m=m))
+                assert predict_term_count(i, n) == len(got), (i, n)
 
 
 def test_variable_permutation_symmetry():
@@ -180,17 +183,16 @@ def test_variable_permutation_symmetry():
 
 
 def test_term_cap(monkeypatch):
+    monkeypatch.setenv("UMFB_TERM_CAP", "10")
     with pytest.raises(TermCapExceeded):
-        umfb(CompositionSpec(index=(3, 3), n=2, m=2), cap=10)
+        umfb(CompositionSpec(index=(3, 3), n=2, m=2))
+    with pytest.raises(TermCapExceeded):
+        chain_rule_derivative(CompositionSpec(index=(3, 3), n=2, m=2))
     monkeypatch.setenv("UMFB_TERM_CAP", str(count_partitions((3, 3)) - 1))
     with pytest.raises(TermCapExceeded):
         dot_power_expansion((3, 3))
     monkeypatch.setenv("UMFB_TERM_CAP", str(count_partitions((3, 3))))
     assert len(dot_power_expansion((3, 3))) == count_partitions((3, 3))
-    with pytest.raises(TermCapExceeded):
-        from umfb.oracle import chain_rule_derivative
-
-        chain_rule_derivative(CompositionSpec(index=(3, 3), n=2, m=2), cap=10)
 
 
 def test_compose_generating_check_matches_substitution():

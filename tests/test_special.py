@@ -395,6 +395,11 @@ def test_hermite_exact_zero_is_a_fraction():
         assert got == 0 and type(got) is Fraction, route
         got = route((1,), SymmetricMatrix(((1.0,),)), (0.0,))
         assert got == 0 and type(got) is float, route
+        # order 0 follows the same rule: a float point makes the value a float
+        got = route((0,), UNIT, (Fraction(1, 2),))
+        assert got == 1 and type(got) is Fraction, route
+        got = route((0,), UNIT, (0.5,))
+        assert got == 1 and type(got) is float, route
 
 
 def test_hermite_dimension_check():
