@@ -75,10 +75,6 @@ def _degree(factors: Factors) -> int:
     return sum(e for _, e in factors)
 
 
-def _term_key(factors: Factors):
-    return (_degree(factors), factors)
-
-
 class FormulaPoly:
     """A collected polynomial over derivative symbols, with exact coefficients."""
 
@@ -118,9 +114,14 @@ class FormulaPoly:
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> tuple[tuple, ...]:
-        """Canonically ordered (coefficient, factors) pairs."""
+        """Canonically ordered (coefficient, factors) pairs: keys bucketed by
+        degree, each bucket sorted as plain tuples (no per-term sort key)."""
+        by_degree: dict[int, list] = {}
+        for k in self._terms:
+            by_degree.setdefault(_degree(k), []).append(k)
+        terms = self._terms
         return tuple(
-            (self._terms[k], k) for k in sorted(self._terms, key=_term_key)
+            (terms[k], k) for d in sorted(by_degree) for k in sorted(by_degree[d])
         )
 
     def __len__(self) -> int:
@@ -137,9 +138,6 @@ class FormulaPoly:
             and self.m == other.m
             and self._terms == other._terms
         )
-
-    def __hash__(self):
-        return hash((self.n, self.m, tuple(sorted(self._terms.items(), key=lambda t: _term_key(t[0])))))
 
     def __repr__(self) -> str:
         return f"FormulaPoly(n={self.n}, m={self.m}, {self.render('text')})"
@@ -224,55 +222,46 @@ class FormulaPoly:
     # -- rendering ---------------------------------------------------------
 
     def render(self, fmt: str = "text") -> str:
-        if fmt == "text":
-            return self._render_plain(star=True)
-        if fmt == "latex":
-            return self._render_plain(star=False)
-        if fmt == "json":
-            return self.to_json()
-        raise ValueError(f"unknown format {fmt!r}")
-
-    def _render_plain(self, star: bool) -> str:
-        if not self._terms:
-            return "0"
-        rendered = []
-        for coeff, factors in self.terms():
-            parts = [_render_symbol(s, e, star) for s, e in factors]
-            mag = -coeff if coeff < 0 else coeff
-            if mag != 1 or not parts:
-                parts.insert(0, str(mag))
-            body = ("*" if star else " ").join(parts)
-            rendered.append(("-" if coeff < 0 else "+", body))
-        sign, body = rendered[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in rendered[1:]:
-            out += f" {sign} {body}"
-        return out
+        return "".join(self.chunks(fmt))
 
     def to_json(self) -> str:
-        terms = []
+        return self.render("json")
+
+    def chunks(self, fmt: str = "text"):
+        """Yield the rendering in ``fmt`` (text, latex or json) piece by piece:
+        one chunk per term in canonical order, plus json's envelope.  Each
+        distinct (symbol, exponent) factor is formatted once per call."""
+        if fmt not in ("text", "latex", "json"):
+            raise ValueError(f"unknown format {fmt!r}")
+        as_json = fmt == "json"
+        joiner = "*" if fmt == "text" else " "
+        if as_json:
+            yield f'{{"n":{json.dumps(self.n)},"m":{json.dumps(self.m)},"terms":['
+        elif not self._terms:
+            yield "0"
+        cache: dict = {}
+        started = False
         for coeff, factors in self.terms():
-            outer = None
-            inner = []
-            variables = []
-            for sym, exp in factors:
-                if sym[0] == "f":
-                    if outer is not None or exp != 1:
-                        raise ValueError("term has a non-simple outer factor")
-                    outer = list(sym[1])
-                elif sym[0] == "g":
-                    inner.append({"fn": sym[1], "index": list(sym[2]), "pow": exp})
+            parts = []
+            for factor in factors:
+                text = cache.get(factor)
+                if text is None:
+                    text = cache[factor] = _render_factor(factor, fmt)
+                parts.append(text)
+            if as_json:
+                yield ("," if started else "") + _json_term(coeff, factors, parts)
+            else:
+                mag = -coeff if coeff < 0 else coeff
+                if mag != 1 or not parts:
+                    parts.insert(0, str(mag))
+                body = joiner.join(parts)
+                if coeff < 0:
+                    yield (" - " if started else "-") + body
                 else:
-                    variables.append({"j": sym[1], "pow": exp})
-            terms.append(
-                {
-                    "coeff": _coeff_str(coeff),
-                    "outer": outer,
-                    "inner": inner,
-                    "vars": variables,
-                }
-            )
-        return json.dumps({"n": self.n, "m": self.m, "terms": terms}, separators=(",", ":"))
+                    yield (" + " if started else "") + body
+            started = True
+        if as_json:
+            yield "]}"
 
     @classmethod
     def from_json(cls, text: str) -> "FormulaPoly":
@@ -286,14 +275,10 @@ class FormulaPoly:
                 factors[inner_symbol(g["fn"], g["index"])] = g["pow"]
             for v in t.get("vars", []):
                 factors[var_symbol(v["j"])] = v["pow"]
-            terms.append((Fraction(t["coeff"]), factors))
-        poly = cls.from_terms(data["n"], data["m"], terms)
-        # keep integer coefficients as ints for exact round trips
-        poly._terms = {
-            k: int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-            for k, c in poly._terms.items()
-        }
-        return poly
+            coeff = Fraction(t["coeff"])
+            # integer coefficients stay ints, for exact round trips
+            terms.append((int(coeff) if coeff.denominator == 1 else coeff, factors))
+        return cls.from_terms(data["n"], data["m"], terms)
 
 
 def relabel_shared(poly: FormulaPoly) -> FormulaPoly:
@@ -324,7 +309,20 @@ def _coeff_str(coeff) -> str:
     return str(int(coeff))
 
 
-def _render_symbol(sym: Symbol, exp: int, star: bool) -> str:
+def _render_factor(factor: tuple, fmt: str) -> str:
+    """One factor in ``fmt``; for json, its fragment in "outer", "inner" or "vars"."""
+    sym, exp = factor
+    if fmt == "json":
+        if sym[0] == "f":
+            if exp != 1:
+                raise ValueError("term has a non-simple outer factor")
+            obj = list(sym[1])
+        elif sym[0] == "g":
+            obj = {"fn": sym[1], "index": list(sym[2]), "pow": exp}
+        else:
+            obj = {"j": sym[1], "pow": exp}
+        return json.dumps(obj, separators=(",", ":"))
+    star = fmt == "text"
     if sym[0] == "f":
         body = "f[" + ",".join(map(str, sym[1])) + "]" if star else \
             "f_{" + ",".join(map(str, sym[1])) + "}"
@@ -336,3 +334,20 @@ def _render_symbol(sym: Symbol, exp: int, star: bool) -> str:
     if exp != 1:
         body += f"^{exp}" if star else f"^{{{exp}}}"
     return body
+
+
+def _json_term(coeff, factors: Factors, parts: list) -> str:
+    """One term object of the json rendering, from its factors' fragments."""
+    outer = None
+    inner, variables = [], []
+    for (sym, _), part in zip(factors, parts):
+        if sym[0] == "f":
+            if outer is not None:
+                raise ValueError("term has a non-simple outer factor")
+            outer = part
+        elif sym[0] == "g":
+            inner.append(part)
+        else:
+            variables.append(part)
+    return (f'{{"coeff":"{_coeff_str(coeff)}","outer":{outer or "null"},'
+            f'"inner":[{",".join(inner)}],"vars":[{",".join(variables)}]}}')

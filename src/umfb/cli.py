@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .algebra import FormulaPoly
 from .errors import TermCapExceeded, UmfbError
@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+# Output is written this many chunks (for `compute`, terms) at a time.
+WRITE_BLOCK_TERMS = 2048
 
 # Benchmark rows as (index, n): the published comparison set plus the
 # worked two-variable second-derivative example.
@@ -74,13 +77,16 @@ def _rat(v) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def _write(out, text: str, path):
-    data = text if text.endswith("\n") else text + "\n"
+def _write(out, chunks, path):
+    """Write the chunks, WRITE_BLOCK_TERMS at a time, and a final newline to
+    the file at ``path``, or to ``out`` when no path is given."""
     if path:
         with open(path, "w") as fh:
-            fh.write(data)
-    else:
-        out.write(data)
+            return _write(fh, chunks, None)
+    chunks = iter(chunks)
+    while block := "".join(islice(chunks, WRITE_BLOCK_TERMS)):
+        out.write(block)
+    out.write("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -197,7 +203,7 @@ def _cmd_compute(args, out) -> int:
     else:
         mode = "shared" if args.mode == "shared-inner" else "distinct"
         poly = umfb(CompositionSpec(index=i, n=n, m=m, inner_mode=mode))
-    _write(out, poly.render(args.format), args.output)
+    _write(out, poly.chunks(args.format), args.output)
     return EXIT_OK
 
 
@@ -213,11 +219,11 @@ def _format_partition(p) -> str:
 def _cmd_partitions(args, out) -> int:
     i = args.index
     if args.count_only:
-        _write(out, str(count_partitions(i)), args.output)
+        _write(out, [str(count_partitions(i))], args.output)
     else:
         _check_cap(i, 1)
         lines = "\n".join(_format_partition(p) for p in partitions(i))
-        _write(out, lines, args.output)
+        _write(out, [lines], args.output)
     return EXIT_OK
 
 
@@ -299,7 +305,7 @@ def _cmd_bench(args, out, err) -> int:
                 ]
             )
         )
-    _write(out, "\n".join(lines), args.output)
+    _write(out, ["\n".join(lines)], args.output)
     return status
 
 

@@ -205,10 +205,14 @@ def _tagged_expansion(index: Index, fn: int) -> tuple:
 
 
 def _assemble(spec: CompositionSpec, bell: bool) -> FormulaPoly:
+    """Collect the products of the per-function expansions.  Keys are built
+    sorted (outer factor, inner factors in function order, x factors); only
+    shared mode with n > 1 repeats symbols, so only it merges and collects."""
     i, n = spec.index, spec.n
     shared = spec.inner_mode == "shared"
     _check_cap(i, n)
     acc: dict = {}
+    outer_factors: dict = {}  # one shared outer factor per length tuple
     for parts in compositions_into(i, n):
         base = multinomial(i, parts)
         expansions = [
@@ -217,30 +221,30 @@ def _assemble(spec: CompositionSpec, bell: bool) -> FormulaPoly:
         ]
         for combo in product(*expansions):
             coeff = base
-            items: tuple = ()
+            inner: tuple = ()
             lengths = []
             for weight, length, factors in combo:
                 coeff *= weight
                 lengths.append(length)
-                items += factors
+                inner += factors
             if bell:
-                extra = tuple(
+                key = inner + tuple(
                     (("x", j), length)
                     for j, length in enumerate(lengths, start=1)
                     if length
                 )
-                items += extra
             elif spec.outer is None:
-                items += ((("f", tuple(lengths)), 1),)
+                lengths = tuple(lengths)
+                key = outer_factors.setdefault(lengths, ((("f", lengths), 1),)) + inner
             else:
                 coeff = coeff * spec.outer.at(tuple(lengths))
                 if coeff == 0:
                     continue
+                key = inner
             if shared and n > 1:
-                key = merge_factors(items)
+                add_term(acc, merge_factors(key), coeff)
             else:
-                key = tuple(sorted(items))
-            add_term(acc, key, coeff)
+                acc[key] = coeff
     return FormulaPoly(spec.n, spec.m, acc)
 
 

@@ -6,6 +6,7 @@ tiny truncated-series implementation written directly against the defining
 power series.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -93,6 +94,62 @@ def term_count_by_series(index, n):
                 if all(a >= b for a, b in zip(k, c)):
                     coeff[k] += coeff[tuple(a - b for a, b in zip(k, c))]
     return coeff[index]
+
+
+# -- the output formats, written term by term -------------------------------
+
+
+def reference_render(n, m, terms, fmt):
+    """Text, latex or json of the polynomial {factors: coefficient}, the plain
+    way: sort the terms by (degree, factors), format every symbol of every
+    term on its own and, for json, ``json.dumps`` a list of dicts."""
+    ordered = sorted(terms.items(), key=lambda t: (sum(e for _, e in t[0]), t[0]))
+    if fmt == "json":
+        rows = []
+        for factors, coeff in ordered:
+            outer, inner, variables = None, [], []
+            for sym, exp in factors:
+                if sym[0] == "f":
+                    if outer is not None or exp != 1:
+                        raise ValueError("term has a non-simple outer factor")
+                    outer = list(sym[1])
+                elif sym[0] == "g":
+                    inner.append({"fn": sym[1], "index": list(sym[2]), "pow": exp})
+                else:
+                    variables.append({"j": sym[1], "pow": exp})
+            if isinstance(coeff, Fraction) and coeff.denominator != 1:
+                text = f"{coeff.numerator}/{coeff.denominator}"
+            else:
+                text = str(int(coeff))
+            rows.append({"coeff": text, "outer": outer, "inner": inner, "vars": variables})
+        return json.dumps({"n": n, "m": m, "terms": rows}, separators=(",", ":"))
+    if not ordered:
+        return "0"
+    star = fmt == "text"
+    pieces = []
+    for factors, coeff in ordered:
+        parts = [_reference_symbol(sym, exp, star) for sym, exp in factors]
+        mag = -coeff if coeff < 0 else coeff
+        if mag != 1 or not parts:
+            parts.insert(0, str(mag))
+        sign = "-" if coeff < 0 else "+"
+        body = ("*" if star else " ").join(parts)
+        pieces.append((f" {sign} " if pieces else sign.strip("+")) + body)
+    return "".join(pieces)
+
+
+def _reference_symbol(sym, exp, star):
+    if sym[0] == "f":
+        idx = ",".join(map(str, sym[1]))
+        body = f"f[{idx}]" if star else f"f_{{{idx}}}"
+    elif sym[0] == "g":
+        idx = ",".join(map(str, sym[2]))
+        body = f"g{sym[1]}[{idx}]" if star else f"g{sym[1]}_{{{idx}}}"
+    else:
+        body = f"x{sym[1]}" if star else f"x_{{{sym[1]}}}"
+    if exp != 1:
+        body += f"^{exp}" if star else f"^{{{exp}}}"
+    return body
 
 
 # -- truncated multivariate series, written from the definitions ------------

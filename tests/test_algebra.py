@@ -13,6 +13,8 @@ from umfb.algebra import (
 )
 from umfb.errors import DimensionMismatch, MissingValue
 
+from helpers import reference_render
+
 
 def mono(n, m, coeff, factors):
     return FormulaPoly.monomial(n, m, coeff, factors)
@@ -101,7 +103,10 @@ def test_json_round_trip():
         + mono(2, 2, Fraction(-1, 3), {var_symbol(1): 2})
         + FormulaPoly.one(2, 2)
     )
-    assert FormulaPoly.from_json(p.to_json()) == p
+    back = FormulaPoly.from_json(p.to_json())
+    assert back == p and back.to_json() == p.to_json()
+    # integer coefficients come back as ints, the others as Fractions
+    assert sorted(type(c).__name__ for c, _ in back.terms()) == ["Fraction", "int", "int"]
 
 
 def test_relabel_shared_merges():
@@ -149,3 +154,48 @@ def test_substitute_is_ring_homomorphism(p, q):
     lhs = (p * q).substitute(outer=outer, inner=inner)
     rhs = p.substitute(outer=outer, inner=inner) * q.substitute(outer=outer, inner=inner)
     assert lhs == rhs
+
+
+def assert_renders_like_reference(p):
+    """Every format, and to_json, byte-identical to the plain renderer in
+    helpers; where that renderer rejects a term, so must render."""
+    for fmt in ("text", "latex", "json"):
+        try:
+            expected = reference_render(p.n, p.m, dict(p._terms), fmt)
+        except ValueError:
+            with pytest.raises(ValueError, match="non-simple outer factor"):
+                p.render(fmt)
+            continue
+        assert p.render(fmt) == expected, fmt
+        if fmt == "json":
+            assert p.to_json() == expected
+
+
+def test_render_matches_reference_on_arithmetic():
+    x1, x2 = var_symbol(1), var_symbol(2)
+    a = mono(2, 2, Fraction(-3, 4), {F10: 1, G10: 2}) + mono(2, 2, 5, {x1: 1, G11: 1})
+    b = mono(2, 2, -1, {x2: 3, G01: 1}) + FormulaPoly.one(2, 2).scale(Fraction(7, 2))
+    cases = [
+        FormulaPoly.zero(2, 2),
+        FormulaPoly.one(2, 2),
+        FormulaPoly.one(2, 2).scale(-2),
+        FormulaPoly.one(2, 2).scale(Fraction(-1, 3)),
+        mono(2, 2, Fraction(4, 2), {x1: 1}),
+        a, b, a - b, a * b, b * b, a.scale(Fraction(2, 5)), (a + b) * (a - b),
+        a - a,
+    ]
+    for p in cases:
+        assert_renders_like_reference(p)
+
+
+def test_render_rejects_a_non_simple_outer_factor():
+    for p in (mono(1, 2, 1, {F1: 2}), mono(2, 2, 1, {F10: 1, outer_symbol((0, 1)): 1})):
+        assert p.render("text")
+        with pytest.raises(ValueError, match="non-simple outer factor"):
+            p.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), st.sampled_from([1, -1, Fraction(1, 2), Fraction(-7, 3)]))
+def test_render_matches_reference(p, c):
+    assert_renders_like_reference(p.scale(c))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -5,6 +6,7 @@ import pytest
 
 import umfb.cli as cli
 from umfb.algebra import FormulaPoly
+from umfb.fdbcore import CompositionSpec, umfb
 from umfb.special import MomentTable
 
 
@@ -41,6 +43,54 @@ def test_compute_defaults_and_output_file(tmp_path):
     assert code == 0 and out == ""
     direct = run(["compute", "-i", "1,1"])[1]
     assert target.read_text() == direct
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+def test_compute_stdout_and_file_are_identical(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "WRITE_BLOCK_TERMS", 3)  # 16 terms: several blocks
+    argv = ["compute", "-i", "2,1", "-n", "2", "--format", fmt]
+    target = tmp_path / f"poly.{fmt}"
+    assert run(argv + ["-o", str(target)]) == (0, "", "")
+    code, out, err = run(argv)
+    assert code == 0 and err == ""
+    assert target.read_text() == out
+    assert out == umfb(CompositionSpec(index=(2, 1), n=2, m=2)).render(fmt) + "\n"
+
+
+def test_capped_compute_creates_no_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("UMFB_TERM_CAP", "1")
+    target = tmp_path / "poly.json"
+    code, out, err = run(["compute", "-i", "2,1", "-n", "2", "--format", "json",
+                          "-o", str(target)])
+    assert code == 3 and out == "" and "UMFB_TERM_CAP=1" in err
+    assert not target.exists()
+
+
+class WriteCounter(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+# sha256 of `umfb compute -i 6,5 -n 2` (14,098 terms) on stdout, recorded from
+# the renderer that built each output as one string.
+GOLDEN_6_5_N2 = {
+    "text": "1498716580a33aaae014e1bc7956e4ed619017948d8fa066dc470cf56fc184ec",
+    "latex": "a086282b8970f5b7303d151d4bb8a610196ce406a2784aa9b3abd9aaa3cc2e3e",
+    "json": "27d97834d65a3af371ee50ee96a07b6767e1d1bbbe6d9734d789d3cea6f8db50",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_6_5_N2))
+def test_compute_golden_digest_written_in_blocks(fmt):
+    out = WriteCounter()
+    code = cli.main(["compute", "-i", "6,5", "-n", "2", "--format", fmt],
+                    out=out, err=io.StringIO())
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN_6_5_N2[fmt]
+    assert out.writes <= 20  # blocks of terms, never one write per term
 
 
 def test_compute_bad_length():

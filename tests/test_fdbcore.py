@@ -18,7 +18,13 @@ from umfb.fdbcore import (
 from umfb.multiindex import count_partitions, order
 from umfb.oracle import chain_rule_derivative
 
-from helpers import all_indices, bell_number, random_moment_values
+from helpers import (
+    all_indices,
+    bell_number,
+    random_moment_values,
+    reference_render,
+    term_count_by_series,
+)
 
 
 def mono(n, m, coeff, factors):
@@ -161,6 +167,46 @@ def test_predicted_count_matches_distinct_output():
             for n in (1, 2, 3):
                 got = umfb(CompositionSpec(index=i, n=n, m=m))
                 assert predict_term_count(i, n) == len(got), (i, n)
+
+
+def test_assembled_keys_are_sorted_and_distinct_products_stay_apart():
+    """`_assemble` builds each key in sorted order and stores distinct-mode
+    products without collecting: their count is the number of n-tuples of
+    partitions, counted independently by the generating function."""
+    for m in (1, 2, 3):
+        for i in all_indices(m, 4, include_zero=True):
+            for n in (1, 2, 3):
+                products = term_count_by_series(i, n)
+                for poly in (
+                    umfb(CompositionSpec(index=i, n=n, m=m)),
+                    umfb(CompositionSpec(index=i, n=n, m=m, outer=MomentSequence.unity())),
+                    generalized_bell(i, n, m),
+                ):
+                    assert all(k == tuple(sorted(k)) for k in poly._terms), (i, n)
+                    assert len(poly) == products, (i, n)
+                shared = umfb(CompositionSpec(index=i, n=n, m=m, inner_mode="shared"))
+                assert all(k == tuple(sorted(k)) for k in shared._terms), (i, n)
+
+
+def cli_mode_polys(i, n):
+    """The polynomial `umfb compute` renders in each of its four modes."""
+    m = len(i)
+    yield umfb(CompositionSpec(index=i, n=n, m=m))
+    yield umfb(CompositionSpec(index=i, n=n, m=m, inner_mode="shared"))
+    yield generalized_bell(i, n, m)
+    if n == 1:  # uni-outer is n = 1 whatever -n says
+        yield umfb(CompositionSpec(index=i, n=1, m=m))
+
+
+def test_render_matches_reference_on_every_small_spec():
+    for m in (1, 2, 3):
+        for i in all_indices(m, 4, include_zero=True):
+            for n in (1, 2, 3):
+                for poly in cli_mode_polys(i, n):
+                    for fmt in ("text", "latex", "json"):
+                        expected = reference_render(poly.n, poly.m, dict(poly._terms), fmt)
+                        assert poly.render(fmt) == expected, (i, n, fmt)
+                    assert poly.to_json() == expected
 
 
 def test_variable_permutation_symmetry():
