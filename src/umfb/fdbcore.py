@@ -137,14 +137,15 @@ def _expansion(index: Index) -> tuple:
     return tuple((p.coefficient(), p.length, p.columns) for p in partitions(index))
 
 
-def predict_term_count(index: Index, n: int) -> int:
+def predict_term_count(index: Index, n: int, columns=None) -> int:
     """Upper bound on output terms: the number of n-tuples of partitions
-    summing to ``index`` (exact in distinct mode with symbolic outer)."""
+    summing to ``index`` (exact in distinct mode with symbolic outer); with
+    ``columns``, of partitions whose columns are all among them."""
     index = as_index(index)
-    return 1 if order(index) == 0 else count_partitions(index, n)
+    return 1 if order(index) == 0 else count_partitions(index, n, columns)
 
 
-def _check_cap(index: Index, n: int):
+def _check_cap(index: Index, n: int, columns=None):
     """Raise TermCapExceeded, before any enumeration, when the predicted term
     count exceeds the cap read from UMFB_TERM_CAP (default DEFAULT_TERM_CAP);
     a value that is not a nonnegative integer is a usage error."""
@@ -155,7 +156,7 @@ def _check_cap(index: Index, n: int):
         limit = -1
     if limit < 0:
         raise ValueError(f"{TERM_CAP_ENV}={env!r} is not a nonnegative integer")
-    predicted = predict_term_count(index, n)
+    predicted = predict_term_count(index, n, columns)
     if predicted > limit:
         raise TermCapExceeded(
             f"predicted {predicted} terms exceeds the term cap {TERM_CAP_ENV}={limit} "

@@ -11,7 +11,7 @@ All arithmetic is exact big-integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
@@ -85,10 +85,12 @@ class Partition:
 
     ``columns`` holds (column, multiplicity) pairs with the distinct columns
     in strictly increasing lexicographic order.  The partitioned index is the
-    multiplicity-weighted entrywise sum of the columns.
+    multiplicity-weighted entrywise sum of the columns; ``weight`` is its
+    coefficient, carried down the enumeration.
     """
 
     columns: tuple[tuple[Index, int], ...]
+    weight: int = field(compare=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -114,76 +116,100 @@ class Partition:
         Always a positive integer: it counts the set partitions of |i|
         coordinate-labelled items that collapse to this column multiset.
         """
-        i = self.index()
-        mfact = prod(factorial(mult) for _, mult in self.columns)
-        cfact = prod(multi_factorial(col) ** mult for col, mult in self.columns)
-        value, rem = divmod(multi_factorial(i), mfact * cfact)
-        assert rem == 0
-        return value
+        return self.weight
 
 
-def _candidate_columns(residual: Index, bound: Index) -> list[Index]:
-    """Nonzero columns <= residual entrywise and <= bound in lex order,
-    returned in decreasing lex order."""
-    out = [
-        c
-        for c in product(*(range(e + 1) for e in residual))
-        if any(c) and c <= bound
-    ]
-    out.reverse()
-    return out
+def _reach(i: Index, columns=None, n: int = 1):
+    """Validate i and return, for the nonzero columns <= i (all of them, or
+    those among ``columns``) in decreasing lex order: the columns and their
+    flat keys; the coefficients of x^k, k <= i, in prod_c (1 - x^c)^(-n); for
+    each k reachable at n = 1, the last p with k a sum of cols[p:]; the key of i.
 
-
-def _descend(residual: Index, bound: Index) -> Iterator[tuple[Index, ...]]:
-    if not any(residual):
-        yield ()
-        return
-    for col in _candidate_columns(residual, bound):
-        for rest in _descend(index_sub(residual, col), col):
-            yield (col,) + rest
-
-
-def partitions(i: Index) -> Iterator[Partition]:
-    """Every partition of i exactly once, in a deterministic order.
-
-    Columns are chosen greedily in nonincreasing lexicographic order while
-    subtracting from the residual index, which makes the stream duplicate
-    free by construction.  Each emitted Partition stores its columns in the
-    canonical (ascending) order.
-    """
+    Keys are sum_s k_s W^(m-1-s) with odd W = 2 max(i) + 1: they sort like
+    their indices, and k - c has digits in [-W//2, W//2], which balanced base
+    W reads back uniquely, so a difference with a negative entry is never a
+    key in the box.  Each factor 1/(1 - x^c) is one in-place forward pass
+    over the box in lex order (count[k] is complete before it is added into
+    count[k + c]), from the last column back, so the first pass that reaches
+    k records its last position."""
     i = as_index(i)
     if order(i) == 0:
         raise ZeroIndex("the zero multi-index has no partitions")
-    for cols in _descend(i, i):
-        grouped: list[tuple[Index, int]] = []
-        for col in reversed(cols):
-            if grouped and grouped[-1][0] == col:
-                grouped[-1] = (col, grouped[-1][1] + 1)
-            else:
-                grouped.append((col, 1))
-        yield Partition(tuple(grouped))
-
-
-def count_partitions(i: Index, n: int = 1) -> int:
-    """Number of n-tuples of partitions of multi-indices summing to i.
-
-    This is the coefficient of x^i in prod_{c != 0} (1 - x^c)^(-n), computed
-    without materializing any partition: each factor 1/(1 - x^c) is applied
-    by one in-place forward pass over the box 0 <= k <= i, and walking k in
-    lex order completes count[k] before it is added into count[k + c].  With
-    n = 1 it counts the partitions of i; with n inner functions it is the
-    term count of the distinct-mode formula.
-    """
-    i = as_index(i)
-    if order(i) == 0:
-        raise ZeroIndex("the zero multi-index has no partitions")
-    count = dict.fromkeys(product(*(range(e + 1) for e in i)), 0)
-    count[(0,) * len(i)] = 1
-    for c in count:
-        if not any(c):
-            continue
-        span = [range(e - d + 1) for e, d in zip(i, c)]
+    w = 2 * max(i) + 1
+    strides = [w ** (len(i) - 1 - s) for s in range(len(i))]
+    box = [0]
+    for e, stride in zip(i, strides):
+        box = [k + a * stride for k in box for a in range(e + 1)]
+    if columns is None:
+        cols = list(product(*(range(e + 1) for e in i)))[:0:-1]
+    else:
+        cols = sorted({c for c in map(tuple, columns) if len(c) == len(i) and any(c)
+                       and all(0 <= a <= b for a, b in zip(c, i))}, reverse=True)
+    keys = [sum(a * s for a, s in zip(c, strides)) for c in cols]
+    count = dict.fromkeys(box, 0)
+    count[0] = 1
+    last = {0: len(keys)}
+    for pos in range(len(keys) - 1, -1, -1):
+        c = keys[pos]
         for _ in range(n):
-            for k in product(*span):
-                count[tuple(a + b for a, b in zip(k, c))] += count[k]
-    return count[i]
+            for k in box:
+                v = count[k]
+                if v and (old := count.get(k + c)) is not None:
+                    count[k + c] = old + v
+                    if not old:
+                        last[k + c] = pos
+    return cols, keys, count, last, box[-1]
+
+
+def partitions(i: Index, columns=None) -> Iterator[Partition]:
+    """Every partition of i exactly once, in a deterministic order; with
+    ``columns``, only those whose columns are all among them.
+
+    Columns are chosen in nonincreasing lexicographic order while subtracting
+    from the residual index, each with its multiplicity (largest first),
+    which makes the stream duplicate free by construction.  A branch is cut
+    once its residual is no sum of the columns left to it, so every descent
+    ends in a partition, weighted i! / prod m! c!^m over its choices.  Each
+    emitted Partition stores its columns in canonical (ascending) order.
+    """
+    cols, keys, _, last, top = _reach(i, columns)
+    col_fact = [multi_factorial(c) for c in cols]
+    chosen: list[tuple[Index, int]] = []
+
+    def descend(r: int, lo: int, den: int) -> Iterator[int]:
+        for j in range(lo, last[r] + 1):
+            c = keys[j]
+            rests = []
+            rest = r - c
+            while rest in last:
+                rests.append(rest)
+                rest -= c
+            for mult in range(len(rests), 0, -1):
+                rest = rests[mult - 1]
+                if last[rest] > j:
+                    chosen.append((cols[j], mult))
+                    d = den * factorial(mult) * col_fact[j] ** mult
+                    if rest:
+                        yield from descend(rest, j + 1, d)
+                    else:
+                        yield d
+                    chosen.pop()
+
+    if top in last:
+        i_fact = multi_factorial(i)
+        for den in descend(top, 0, 1):
+            yield Partition(tuple(reversed(chosen)), i_fact // den)
+
+
+def count_partitions(i: Index, n: int = 1, columns=None) -> int:
+    """Number of n-tuples of partitions of multi-indices summing to i; with
+    ``columns``, of those whose columns are all among them.
+
+    This is the coefficient of x^i in prod_c (1 - x^c)^(-n) over the nonzero
+    columns c (or the given ones), from the pass `partitions` prunes with,
+    without materializing any partition.  With n = 1 it counts the partitions
+    of i; with n inner functions it is the term count of the distinct-mode
+    formula.
+    """
+    _, _, count, _, top = _reach(i, columns, n)
+    return count[top]

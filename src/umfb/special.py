@@ -19,7 +19,7 @@ from math import comb, prod
 from types import MappingProxyType
 
 from .errors import DimensionMismatch, MissingValue, SingularSigma
-from .fdbcore import MomentSequence
+from .fdbcore import MomentSequence, _check_cap
 from .multiindex import Index, as_index, order, partitions
 
 FLOAT_PIVOT_TOL = 1e-12
@@ -80,23 +80,20 @@ class MomentTable:
 
 def _partition_sum(i: Index, outer_weight, column_value, total=0):
     """Sum over the partitions p of i of outer_weight(length) * coefficient(p)
-    * product of column_value(col)^mult, added to ``total``.  A term stops at
-    its first zero factor, so coefficients are computed for nonzero terms only."""
-    for p in partitions(i):
+    * product of column_value(col)^mult, added to ``total``.  Only partitions
+    whose columns all have a nonzero value are enumerated, once their count
+    has passed the term cap."""
+    values = {c: v for c in product(*(range(e + 1) for e in i))
+              if any(c) and (v := column_value(c)) != 0}
+    _check_cap(i, 1, values)
+    for p in partitions(i, values):
         w = outer_weight(p.length)
         if w == 0:
             continue
-        powers = []
+        val = w * p.coefficient()
         for col, mult in p.columns:
-            v = column_value(col)
-            if v == 0:
-                break
-            powers.append(v**mult)
-        else:
-            val = w * p.coefficient()
-            for pw in powers:
-                val *= pw
-            total += val
+            val *= values[col] ** mult
+        total += val
     return total
 
 
@@ -181,11 +178,14 @@ def reciprocal_series_moment(mom: MomentTable, i: Index):
 # -- symmetric matrices -----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymmetricMatrix:
-    """A symmetric matrix with exact rational or float entries."""
+    """A symmetric matrix with exact rational or float entries.  Its inverse
+    is computed once and kept on the matrix; a singular one raises on every
+    call."""
 
     rows: tuple
+    _inverse: "SymmetricMatrix | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(e for e in r) for r in self.rows)
@@ -196,7 +196,8 @@ class SymmetricMatrix:
             for b in range(a):
                 if rows[a][b] != rows[b][a]:
                     raise ValueError("matrix is not symmetric")
-        self.rows = rows
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_inverse", None)
 
     @property
     def dimension(self) -> int:
@@ -207,7 +208,9 @@ class SymmetricMatrix:
         return not any(isinstance(e, float) for r in self.rows for e in r)
 
     def inverse(self) -> "SymmetricMatrix":
-        return SymmetricMatrix(_invert(self.rows, self.exact))
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", SymmetricMatrix(_invert(self.rows, self.exact)))
+        return self._inverse
 
     def entry_at(self, col: Index):
         """Entry selected by an order-2 multi-index: (a,b) for e_a + e_b."""

@@ -75,11 +75,12 @@ def bell_number(d):
 # -- term counts from the generating function -------------------------------
 
 
-def term_count_by_series(index, n):
+def term_count_by_series(index, n, columns=None):
     """Number of n-tuples of multi-index partitions summing to ``index``.
 
     This is the term count of the compressed formula for f(g1, ..., gn):
-    the coefficient of x^index in prod_{c != 0} (1 - x^c)^(-n).  Each factor
+    the coefficient of x^index in prod_{c != 0} (1 - x^c)^(-n), the product
+    taken over ``columns`` only when they are given.  Each factor
     1/(1 - x^c) is applied by forward accumulation over the box
     0 <= k <= index; walking the box in lexicographic order visits k - c
     before k, so one in-place pass multiplies by the factor.
@@ -89,6 +90,8 @@ def term_count_by_series(index, n):
     coeff = dict.fromkeys(box, 0)
     coeff[box[0]] = 1
     for c in box[1:]:
+        if columns is not None and c not in columns:
+            continue
         for _ in range(n):
             for k in box:
                 if all(a >= b for a, b in zip(k, c)):

@@ -261,6 +261,18 @@ def test_partitions_listing_is_capped(monkeypatch):
     assert code == 0 and out.strip() == "9"
 
 
+def test_hermite_bell_route_is_capped_by_its_support(monkeypatch):
+    # (3,3) has 31 partitions, 10 of them with columns of order 1 or 2 only
+    argv = ["hermite", "--route", "bell", "-i", "3,3", "--sigma", "2,1;1,3", "-x", "1,-1/2"]
+    monkeypatch.setenv("UMFB_TERM_CAP", "10")
+    code, out, _ = run(argv)
+    assert code == 0 and out == run(argv[:2] + ["direct"] + argv[3:])[1]
+    monkeypatch.setenv("UMFB_TERM_CAP", "9")
+    code, out, err = run(argv)
+    assert code == 3 and out == ""
+    assert "predicted 10 terms" in err and "UMFB_TERM_CAP=9" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
 def test_malformed_term_cap_is_a_usage_error(monkeypatch, value):
     monkeypatch.setenv("UMFB_TERM_CAP", value)

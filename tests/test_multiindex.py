@@ -1,7 +1,10 @@
 from itertools import permutations, product
 from math import comb
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umfb.errors import PartsMismatch, ZeroIndex
 from umfb.multiindex import (
@@ -94,11 +97,17 @@ def test_zero_index_rejected():
         count_partitions((0,))
 
 
-@pytest.mark.parametrize("i", [(2, 1), (1, 1, 1), (3, 2), (4,), (2, 0, 2)])
+def _largest_first(columns):
+    """The column sequence of a partition, largest column first: the stream
+    runs through these sequences in decreasing lexicographic order."""
+    return tuple(col for col, mult in reversed(columns) for _ in range(mult))
+
+
+@pytest.mark.parametrize("i", [(2, 1), (1, 1, 1), (3, 2), (4,), (2, 0, 2), (3, 3), (2, 2, 2)])
 def test_partitions_match_brute_force_subdivisions(i):
     brute = brute_partitions_with_counts(i)
     got = list(partitions(i))
-    assert {p.columns for p in got} == set(brute)
+    assert [p.columns for p in got] == sorted(brute, key=_largest_first, reverse=True)
     assert len(got) == len(brute) == count_partitions(i)
     # the weight of each partition counts the labelled set partitions above it
     for p in got:
@@ -151,3 +160,82 @@ def test_partition_coefficient_is_positive_integer():
         for p in partitions(i):
             c = p.coefficient()
             assert isinstance(c, int) and c > 0
+
+
+# -- enumeration over a column support ---------------------------------------
+
+
+def _small_indices():
+    for m in (1, 2, 3):
+        for i in product(range(7), repeat=m):
+            if 0 < sum(i) <= 6:
+                yield i
+
+
+def _supports(i, rng):
+    """Column sets for i: the Hermite support (orders 1 and 2), odd orders,
+    unit columns, a random subset, and the unit columns with one column
+    beyond i."""
+    box = [c for c in product(*(range(e + 1) for e in i)) if any(c)]
+    units = {c for c in box if sum(c) == 1}
+    yield {c for c in box if sum(c) in (1, 2)}
+    yield {c for c in box if sum(c) % 2}
+    yield units
+    yield {c for c in box if rng.random() < 0.4}
+    yield units | {tuple(e + 1 for e in i)}
+
+
+def assert_support_restriction(i, support):
+    """partitions(i, support) is the unrestricted stream filtered to the
+    support, in the same order and with the same weights, and its length is
+    both counts."""
+    weights = {p.columns: p.coefficient() for p in partitions(i)}
+    got = list(partitions(i, support))
+    assert [p.columns for p in got] == [
+        cols for cols in weights if all(col in support for col, _ in cols)], i
+    assert all(p.coefficient() == weights[p.columns] for p in got)
+    assert len(got) == count_partitions(i, 1, support) == term_count_by_series(i, 1, support)
+
+
+def test_support_restriction_on_every_small_index():
+    rng = Random(7)
+    for i in _small_indices():
+        for support in _supports(i, rng):
+            assert_support_restriction(i, support)
+        # every column of the box is the whole stream, in the same order
+        everything = list(product(*(range(e + 1) for e in i)))
+        assert [p.columns for p in partitions(i, everything)] == [
+            p.columns for p in partitions(i)]
+        hermite = {c for c in everything if sum(c) in (1, 2)}
+        for n in (2, 3):
+            assert count_partitions(i, n, hermite) == term_count_by_series(i, n, hermite)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(any),
+       st.integers(0, 2**64 - 1))
+def test_support_restriction_on_random_supports(i, bits):
+    i = tuple(i)
+    box = [c for c in product(*(range(e + 1) for e in i)) if any(c)]
+    support = {c for k, c in enumerate(box) if bits >> (k % 64) & 1}
+    assert_support_restriction(i, support)
+
+
+def test_support_that_cannot_reach_the_index():
+    for i, support in [
+        ((2, 1), []),
+        ((2, 1), [(1, 0)]),          # nothing covers the second coordinate
+        ((3,), [(2,)]),              # parity
+        ((2, 2), [(3, 0), (0, 3)]),  # columns beyond i are dropped
+        ((1, 1), [(1, 1, 0)]),       # wrong length
+    ]:
+        assert list(partitions(i, support)) == []
+        assert count_partitions(i, 1, support) == 0 == term_count_by_series(
+            i, 1, {c for c in support if len(c) == len(i)})
+
+
+def test_zero_index_rejected_with_a_support():
+    with pytest.raises(ZeroIndex):
+        next(partitions((0, 0), [(1, 0)]))
+    with pytest.raises(ZeroIndex):
+        count_partitions((0,), 1, [(1,)])

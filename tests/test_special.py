@@ -256,6 +256,20 @@ def test_singular_matrices_rejected():
         SymmetricMatrix(((1.0, 1.0), (1.0, 1.0 + 1e-16))).inverse()
 
 
+def test_symmetric_matrix_is_frozen_and_keeps_its_inverse():
+    m = SymmetricMatrix(((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2))))
+    with pytest.raises(FrozenInstanceError):
+        m.rows = ((Fraction(1),),)
+    assert m.inverse() is m.inverse()
+    assert m == SymmetricMatrix(m.rows)
+    singular = SymmetricMatrix(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
+    for _ in range(2):
+        with pytest.raises(SingularSigma):
+            singular.inverse()
+        with pytest.raises(SingularSigma):
+            hermite_via_bell((1, 1), singular, (Fraction(0), Fraction(0)))
+
+
 def test_float_inverse():
     m = SymmetricMatrix(((4.0, 0.0), (0.0, 2.0)))
     inv = m.inverse()
@@ -306,14 +320,38 @@ def test_hermite_univariate_table():
     assert hermite((3,), UNIT, (Fraction(2),)) == 2
 
 
-def test_hermite_dual_route_agreement():
+def _dual_route_inputs():
+    """Random SPD matrices and points, then inputs whose Bell support has
+    holes: a diagonal and a block-diagonal Sigma (zero Lambda off the
+    blocks) and points with zero components (a zero shift there)."""
     rng = Random(31)
     for _ in range(6):
         n = rng.choice([1, 2, 3])
         sigma = SymmetricMatrix(random_spd_matrix(rng, n))
-        x = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+        yield sigma, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+    q = Fraction
+    diagonal = SymmetricMatrix(((q(2), q(0), q(0)), (q(0), q(3), q(0)), (q(0), q(0), q(1, 2))))
+    block = SymmetricMatrix(((q(2), q(1), q(0)), (q(1), q(2), q(0)), (q(0), q(0), q(5))))
+    yield diagonal, (q(1), q(-1, 2), q(2))
+    yield block, (q(1, 3), q(1), q(-1))
+    yield diagonal, (q(0), q(1), q(0))
+    yield block, (q(0), q(0), q(0))
+    yield SymmetricMatrix(random_spd_matrix(rng, 3)), (q(0), q(2, 3), q(0))
+
+
+def test_hermite_dual_route_agreement():
+    for sigma, x in _dual_route_inputs():
+        n = sigma.dimension
+        sigma_f = SymmetricMatrix(tuple(tuple(float(e) for e in r) for r in sigma.rows))
+        x_f = tuple(float(e) for e in x)
         for i in all_indices(n, 4, include_zero=True):
-            assert hermite(i, sigma, x) == hermite_via_bell(i, sigma, x), (n, i)
+            direct, bell = hermite(i, sigma, x), hermite_via_bell(i, sigma, x)
+            assert direct == bell and type(direct) is type(bell) is Fraction, (sigma, x, i)
+            if not any(x) and sum(i) % 2:
+                assert bell == 0, (sigma, i)
+            for approx in (hermite(i, sigma_f, x_f), hermite_via_bell(i, sigma_f, x_f)):
+                assert type(approx) is float, (sigma, x, i)
+                assert abs(approx - direct) <= 1e-9 * max(1, abs(direct)), (sigma, x, i)
 
 
 def _hermite_series(sigma: SymmetricMatrix, x, cap, scaled):

@@ -1,10 +1,13 @@
 """Repository-level checks on the package source."""
 
 import ast
+import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "umfb"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "umfb"
 
 
 def test_package_imports_only_the_standard_library():
@@ -24,3 +27,34 @@ def test_package_imports_only_the_standard_library():
                 if top != "umfb" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}: {name}")
     assert foreign == []
+
+
+def test_benchmark_tracer_wraps_every_layer_it_names():
+    """The per-layer benchmark patches names such as fdbcore.partitions,
+    special.partitions and fdbcore.count_partitions; each must still exist
+    and take the calls the package makes through it, with ``columns``."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import umfb.algebra  # noqa: F401  (the tracer wraps modules already imported)
+    import umfb.cli  # noqa: F401
+    from umfb import fdbcore, special
+
+    fdbcore._expansion.cache_clear()
+    fdbcore._tagged_expansion.cache_clear()
+    sigma = special.SymmetricMatrix(((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3))))
+    x = (Fraction(1), Fraction(-1, 2))
+    expect = special.hermite_via_bell((3, 2), sigma, x)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        got = special.hermite_via_bell((3, 2), sigma, x)
+        poly = fdbcore.umfb(fdbcore.CompositionSpec((2, 1), 2, 2))
+    assert got == expect and len(poly) == fdbcore.predict_term_count((2, 1), 2)
+    names = {rec["name"] for rec in tracer.spans}
+    assert {"special.hermite_bell", "multiindex.partitions", "multiindex.count",
+            "fdbcore.predict", "fdbcore.assemble"} <= names
+    # the span counts the restricted stream: 7 of the 16 partitions of (3,2)
+    bell = next(k for k, rec in enumerate(tracer.spans) if rec["name"] == "special.hermite_bell")
+    assert [rec["count"] for rec in tracer.spans if rec["parent"] == bell
+            and rec["name"] == "multiindex.partitions"] == [7]
+    assert special.partitions is fdbcore.partitions is sys.modules["umfb.multiindex"].partitions
