@@ -9,14 +9,12 @@ from .errors import (
     PartsMismatch,
     SingularSigma,
     TermCapExceeded,
-    TruncationTooLarge,
     UmfbError,
     ZeroIndex,
 )
 from .fdbcore import (
     CompositionSpec,
     MomentSequence,
-    compose_generating_check,
     dot_power_expansion,
     generalized_bell,
     predict_term_count,
@@ -56,7 +54,6 @@ __all__ = [
     "ZeroIndex",
     "DimensionMismatch",
     "MissingValue",
-    "TruncationTooLarge",
     "SingularSigma",
     "TermCapExceeded",
     "CompositionSpec",
@@ -64,7 +61,6 @@ __all__ = [
     "dot_power_expansion",
     "umfb",
     "generalized_bell",
-    "compose_generating_check",
     "predict_term_count",
     "Partition",
     "multi_factorial",

@@ -62,7 +62,10 @@ def _parse_index(text: str):
 
 
 def _parse_vector(text: str):
-    return tuple(Fraction(p) for p in text.split(","))
+    try:
+        return tuple(Fraction(p) for p in text.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_matrix(text: str) -> SymmetricMatrix:

@@ -21,10 +21,6 @@ class MissingValue(UmfbError):
     """A moment sequence has no value at a required index."""
 
 
-class TruncationTooLarge(UmfbError):
-    """Requested series truncation order exceeds the resource guard."""
-
-
 class SingularSigma(UmfbError):
     """Covariance matrix is singular (pivot below tolerance)."""
 

@@ -11,15 +11,14 @@ one part per inner function and merges the per-function expansions.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
-from math import factorial
+from types import MappingProxyType
+from typing import Mapping
 
-from . import series
 from .algebra import FormulaPoly, add_term, merge_factors
-from .errors import MissingValue, TermCapExceeded, TruncationTooLarge
+from .errors import MissingValue, TermCapExceeded
 from .multiindex import (
     Index,
     as_index,
@@ -33,70 +32,38 @@ from .multiindex import (
 DEFAULT_TERM_CAP = 10_000_000
 TERM_CAP_ENV = "UMFB_TERM_CAP"
 
-MAX_TRUNCATION = 8
-
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """A moment lookup a_k (integer k) or a_i (multi-index i), with a_0 = 1.
+    """A moment lookup a_k (integer k) or a_i (multi-index i), with a_0 = 1:
+    a_k = 1 for every k (``values`` None), or a read-only table of explicit
+    values, univariate or multi-index keyed."""
 
-    ``kind`` selects a closed form, or a stored table:
-
-    * ``unity``            a_k = 1
-    * ``cumulant_weights`` a_k = (-1)^(k-1) (k-1)!   (log-series weights)
-    * ``reciprocal``       a_k = (-1)^k k!           (reciprocal-series weights)
-    * ``alternating``      a_k = (-1)^k
-    * ``table``            explicit values, univariate or multi-index keyed
-    """
-
-    kind: str
-    table: tuple = field(default=())
+    values: Mapping | None = None
 
     @classmethod
     def unity(cls) -> "MomentSequence":
-        return cls("unity")
-
-    @classmethod
-    def cumulant_weights(cls) -> "MomentSequence":
-        return cls("cumulant_weights")
-
-    @classmethod
-    def reciprocal(cls) -> "MomentSequence":
-        return cls("reciprocal")
-
-    @classmethod
-    def alternating(cls) -> "MomentSequence":
-        return cls("alternating")
+        return cls()
 
     @classmethod
     def from_values(cls, values) -> "MomentSequence":
         """Univariate table a_1..a_K (a_0 is implicitly 1)."""
-        return cls("table", tuple(((k + 1,), Fraction(v)) for k, v in enumerate(values)))
+        return cls.from_table({(k + 1,): v for k, v in enumerate(values)})
 
     @classmethod
     def from_table(cls, table) -> "MomentSequence":
         """Multi-index keyed table; the zero index defaults to 1."""
-        return cls("table", tuple(sorted((tuple(k), Fraction(v)) for k, v in table.items())))
+        return cls(MappingProxyType({tuple(k): Fraction(v) for k, v in table.items()}))
 
     def at(self, k):
-        """Value at k; k may be an int or a multi-index (then |k| is used for
-        the closed-form kinds)."""
+        """Value at k; k may be an int or a multi-index."""
         idx = (k,) if isinstance(k, int) else tuple(k)
-        total = sum(idx)
-        if self.kind == "unity":
+        if self.values is None or not any(idx):
             return 1
-        if self.kind == "cumulant_weights":
-            return 1 if total == 0 else (-1) ** (total - 1) * factorial(total - 1)
-        if self.kind == "reciprocal":
-            return (-1) ** total * factorial(total)
-        if self.kind == "alternating":
-            return (-1) ** total
-        if total == 0:
-            return 1
-        for key, value in self.table:
-            if key == idx:
-                return value
-        raise MissingValue(f"moment sequence has no value at {idx}")
+        try:
+            return self.values[idx]
+        except KeyError:
+            raise MissingValue(f"moment sequence has no value at {idx}") from None
 
 
 @dataclass(frozen=True)
@@ -123,18 +90,6 @@ class CompositionSpec:
             raise ValueError("n must be >= 1")
         if self.inner_mode not in ("distinct", "shared"):
             raise ValueError(f"unknown inner_mode {self.inner_mode!r}")
-
-
-@lru_cache(maxsize=None)
-def _expansion(index: Index) -> tuple:
-    """Partition expansion of one power: (weight, length, columns) triples.
-
-    The zero index expands to the single unit triple, mirroring the base case
-    of the recursive reference procedure.
-    """
-    if order(index) == 0:
-        return ((1, 0, ()),)
-    return tuple((p.coefficient(), p.length, p.columns) for p in partitions(index))
 
 
 def predict_term_count(index: Index, n: int, columns=None) -> int:
@@ -194,15 +149,28 @@ def generalized_bell(i: Index, n: int, m: int) -> FormulaPoly:
     return _assemble(spec, bell=True)
 
 
-@lru_cache(maxsize=None)
-def _tagged_expansion(index: Index, fn: int) -> tuple:
-    """Like `_expansion` but with the inner factors pre-built as
-    (symbol, exponent) tuples for function id ``fn``; columns are ascending,
-    so the factors come out sorted."""
-    return tuple(
-        (weight, length, tuple((("g", fn, col), mult) for col, mult in cols))
-        for weight, length, cols in _expansion(index)
-    )
+def _tagged_expansion(memo: dict, index: Index, fn: int) -> tuple:
+    """Partition expansion of one power as (weight, length, factors) triples,
+    the inner factors pre-built as (symbol, exponent) tuples for function id
+    ``fn``; columns are ascending, so the factors come out sorted.  The zero
+    index expands to the single unit triple, mirroring the base case of the
+    recursive reference procedure.
+
+    ``memo`` is the calling `_assemble`'s table: memo[index] holds the
+    untagged (weight, length, columns) triples, enumerated once per call and
+    shared by every function id, and memo[index, fn] the tagged ones."""
+    row = memo.get((index, fn))
+    if row is None:
+        plain = memo.get(index)
+        if plain is None:
+            plain = memo[index] = ((1, 0, ()),) if order(index) == 0 else tuple(
+                (p.coefficient(), p.length, p.columns) for p in partitions(index)
+            )
+        row = memo[index, fn] = tuple(
+            (weight, length, tuple((("g", fn, col), mult) for col, mult in cols))
+            for weight, length, cols in plain
+        )
+    return row
 
 
 def _assemble(spec: CompositionSpec, bell: bool) -> FormulaPoly:
@@ -213,11 +181,12 @@ def _assemble(spec: CompositionSpec, bell: bool) -> FormulaPoly:
     shared = spec.inner_mode == "shared"
     _check_cap(i, n)
     acc: dict = {}
+    memo: dict = {}
     outer_factors: dict = {}  # one shared outer factor per length tuple
     for parts in compositions_into(i, n):
         base = multinomial(i, parts)
         expansions = [
-            _tagged_expansion(k, 1 if shared else j)
+            _tagged_expansion(memo, k, 1 if shared else j)
             for j, k in enumerate(parts, start=1)
         ]
         for combo in product(*expansions):
@@ -248,61 +217,3 @@ def _assemble(spec: CompositionSpec, bell: bool) -> FormulaPoly:
                 acc[key] = coeff
     return FormulaPoly(spec.n, spec.m, acc)
 
-
-def compose_generating_check(
-    spec: CompositionSpec, inner: list[MomentSequence], truncation: int
-) -> dict:
-    """Independent functional check: truncated power-series composition.
-
-    Builds the inner generating series from explicit moment lookups, raises
-    them to outer powers and sums with the outer moments, all in exact
-    rational arithmetic; returns the moments of the composition for every
-    index of total order <= ``truncation``.  Shares no code with the
-    partition expansion.
-    """
-    if truncation > MAX_TRUNCATION:
-        raise TruncationTooLarge(f"truncation {truncation} > {MAX_TRUNCATION}")
-    if spec.outer is None:
-        raise ValueError("a numeric outer sequence is required")
-    n, m, cap = spec.n, spec.m, truncation
-    if spec.inner_mode == "shared":
-        inner = [inner[0]] * n
-    if len(inner) != n:
-        raise ValueError(f"need {n} inner sequences, got {len(inner)}")
-
-    # u_j = (inner generating series) - 1, truncated
-    us = []
-    for seq in inner:
-        s = series.from_moments(seq.at, m, cap)
-        s.pop((0,) * m, None)
-        us.append(s)
-
-    # cache u_j^e for e up to the truncation order
-    powers = []
-    for u in us:
-        row = [series.one(m)]
-        for _ in range(cap):
-            row.append(series.mul(row[-1], u, cap))
-        powers.append(row)
-
-    out = series.one(m)
-    for j in product(range(cap + 1), repeat=n):
-        total = sum(j)
-        if total == 0 or total > cap:
-            continue
-        g = Fraction(spec.outer.at(tuple(j)))
-        if g == 0:
-            continue
-        term = powers[0][j[0]]
-        for a in range(1, n):
-            term = series.mul(term, powers[a][j[a]], cap)
-        jfact = 1
-        for e in j:
-            jfact *= factorial(e)
-        out = series.add(out, series.scale(term, g / jfact))
-
-    return {
-        k: series.coefficient_moment(out, k)
-        for k in product(range(cap + 1), repeat=m)
-        if order(k) <= cap
-    }

@@ -97,19 +97,6 @@ class Partition:
         """Number of columns counted with multiplicity."""
         return sum(mult for _, mult in self.columns)
 
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(mult for _, mult in self.columns)
-
-    def index(self) -> Index:
-        """The multi-index this partition decomposes."""
-        width = len(self.columns[0][0])
-        total = [0] * width
-        for col, mult in self.columns:
-            for r, e in enumerate(col):
-                total[r] += mult * e
-        return tuple(total)
-
     def coefficient(self) -> int:
         """The weight i! / (multiplicities! * columns!) of this partition.
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, factorial, prod
 from types import MappingProxyType
 
 from .errors import DimensionMismatch, MissingValue, SingularSigma
@@ -73,7 +73,7 @@ class MomentTable:
             data = json.loads(text)
             n = data["n"]
             values = {tuple(e["index"]): Fraction(e["value"]) for e in data["values"]}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed moment table ({type(exc).__name__}: {exc})") from None
         return cls(n=n, values=values)
 
@@ -146,8 +146,7 @@ def _table_sum(table: MomentTable, i: Index, outer_weight):
 
 def moments_to_cumulants(mom: MomentTable, i: Index):
     """Cumulant at i from raw moments (log-series partition weights)."""
-    weights = MomentSequence.cumulant_weights()
-    return _table_sum(mom, i, weights.at)
+    return _table_sum(mom, i, lambda k: (-1) ** (k - 1) * factorial(k - 1))
 
 
 def cumulants_to_moments(cum: MomentTable, i: Index):
@@ -171,8 +170,7 @@ def laplace_derivative_sign(mom: MomentTable, i: Index):
 def reciprocal_series_moment(mom: MomentTable, i: Index):
     """Coefficient at i (times i!) of the reciprocal of the moment generating
     function, via the partition expansion with weights (-1)^k k!."""
-    weights = MomentSequence.reciprocal()
-    return _table_sum(mom, i, weights.at)
+    return _table_sum(mom, i, lambda k: (-1) ** k * factorial(k))
 
 
 # -- symmetric matrices -----------------------------------------------------
@@ -324,7 +322,7 @@ def hermite_via_bell(i: Index, sigma: SymmetricMatrix, x):
             return inv.entry_at(col)
         return 0
 
-    total = _partition_sum(i, MomentSequence.alternating().at, moment, zero)
+    total = _partition_sum(i, lambda k: (-1) ** k, moment, zero)
     return (-1) ** order(i) * total
 
 

@@ -213,6 +213,28 @@ def index_factorial(k):
     return out
 
 
+def compose_moments(outer, inner_tables, n, m, cap):
+    """Moments k! [t^k] of f(g_1, ..., g_n) for every |k| <= cap, composed as
+    truncated series: sum_j outer(j) / j! * prod_a (g_a - 1)^(j_a), with g_a
+    the exponential generating series of the moment table inner_tables[a]
+    and outer(j) the outer moment at the n-index j (1 at j = 0)."""
+    powers = []
+    for table in inner_tables:
+        u = mgf_minus_one(table, cap)
+        row = [{(0,) * m: Fraction(1)}]
+        for _ in range(cap):
+            row.append(s_mul(row[-1], u, cap))
+        powers.append(row)
+    total = {}
+    for j in all_indices(n, cap, include_zero=True):
+        term = {(0,) * m: Fraction(outer(j) if any(j) else 1) / index_factorial(j)}
+        for row, e in zip(powers, j):
+            term = s_mul(term, row[e], cap)
+        for k, v in term.items():
+            total[k] = total.get(k, Fraction(0)) + v
+    return {k: series_moment(total, k) for k in all_indices(m, cap, include_zero=True)}
+
+
 # -- random exact inputs ----------------------------------------------------
 
 

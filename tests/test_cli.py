@@ -211,6 +211,27 @@ def test_malformed_table_is_usage_error(tmp_path, text):
     assert str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["hermite", "-i", "1", "--sigma", "1", "-x", "1/0"], "'1/0'"),
+        (["hermite", "-i", "1", "--sigma", "1/0", "-x", "1"], "'1/0'"),
+        (["poisson", "--alpha", "1/0", "--table", "GOOD", "-i", "1"], "'1/0'"),
+        (["cumulants", "--table", "BAD", "-i", "1"], "BAD"),
+    ],
+    ids=["hermite-x", "hermite-sigma", "poisson-alpha", "table-value"],
+)
+def test_zero_denominator_is_usage_error(tmp_path, argv, named):
+    paths = {
+        "GOOD": _table_file(tmp_path, "mu.json", 1, {(1,): 1}),
+        "BAD": str(tmp_path / "bad.json"),
+    }
+    (tmp_path / "bad.json").write_text('{"n": 1, "values": [{"index": [1], "value": "1/0"}]}')
+    code, out, err = run([paths.get(a, a) for a in argv])
+    assert code == 2 and out == ""
+    assert paths.get(named, named) in err and "Traceback" not in err
+
+
 def test_bench_bad_row_is_usage_error(tmp_path):
     rows = tmp_path / "rows.txt"
     rows.write_text("1,1;2\nx,y;2\n")

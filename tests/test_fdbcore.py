@@ -5,11 +5,10 @@ from random import Random
 import pytest
 
 from umfb.algebra import FormulaPoly, inner_symbol, outer_symbol, relabel_shared, var_symbol
-from umfb.errors import TermCapExceeded, TruncationTooLarge
+from umfb.errors import MissingValue, TermCapExceeded
 from umfb.fdbcore import (
     CompositionSpec,
     MomentSequence,
-    compose_generating_check,
     dot_power_expansion,
     generalized_bell,
     predict_term_count,
@@ -21,6 +20,7 @@ from umfb.oracle import chain_rule_derivative
 from helpers import (
     all_indices,
     bell_number,
+    compose_moments,
     random_moment_values,
     reference_render,
     term_count_by_series,
@@ -258,7 +258,9 @@ def test_compose_generating_check_matches_substitution():
         inner_tables = [random_moment_values(rng, m, cap) for _ in range(n)]
         inner_seqs = [MomentSequence.from_table(t) for t in inner_tables]
         spec = CompositionSpec(index=i, n=n, m=m, inner_mode=mode, outer=outer)
-        table = compose_generating_check(spec, inner_seqs[:1] if mode == "shared" else inner_seqs, cap)
+        table = compose_moments(
+            outer.at, [inner_tables[0]] * n if mode == "shared" else inner_tables, n, m, cap
+        )
         if mode == "shared":
             inner_lookup = [inner_seqs[0]] * n
         else:
@@ -270,23 +272,17 @@ def test_compose_generating_check_matches_substitution():
 def test_compose_generating_check_exp_identity():
     # outer exp-series with identity inner: coefficients all 1
     outer = MomentSequence.unity()
-    inner = MomentSequence.from_table({(1,): 1, (2,): 0, (3,): 0})
-    spec = CompositionSpec(index=(3,), n=1, m=1, outer=outer)
-    table = compose_generating_check(spec, [inner], 3)
+    inner = {(1,): 1, (2,): 0, (3,): 0}
+    table = compose_moments(outer.at, [inner], 1, 1, 3)
     assert [table[(k,)] for k in range(4)] == [1, 1, 1, 1]
-
-
-def test_compose_generating_check_guard():
-    spec = CompositionSpec(index=(1,), n=1, m=1, outer=MomentSequence.unity())
-    with pytest.raises(TruncationTooLarge):
-        compose_generating_check(spec, [MomentSequence.unity()], 20)
 
 
 def test_moment_sequence_kinds():
     assert MomentSequence.unity().at(0) == 1
-    assert MomentSequence.cumulant_weights().at(3) == 2
-    assert MomentSequence.cumulant_weights().at(0) == 1
-    assert MomentSequence.reciprocal().at(3) == -6
-    assert MomentSequence.alternating().at(5) == -1
+    assert MomentSequence.unity().at((2, 1)) == 1
     seq = MomentSequence.from_values([2, 3])
     assert seq.at(0) == 1 and seq.at(2) == 3
+    with pytest.raises(MissingValue):
+        seq.at(3)
+    table = MomentSequence.from_table({(1, 0): Fraction(1, 2), (0, 0): 5})
+    assert table.at((0, 0)) == 1 and table.at((1, 0)) == Fraction(1, 2)

@@ -117,12 +117,12 @@ def test_partitions_match_brute_force_subdivisions(i):
 def test_partition_invariants():
     for i in [(2, 2), (3, 1), (1, 1, 2)]:
         for p in partitions(i):
-            assert p.index() == i
+            assert tuple(sum(mult * c[r] for c, mult in p.columns) for r in range(len(i))) == i
             cols = [c for c, _ in p.columns]
             assert all(any(c) for c in cols)
             assert cols == sorted(cols)
             assert len(cols) == len(set(cols))
-            assert p.length == sum(p.multiplicities)
+            assert p.length == sum(mult for _, mult in p.columns)
 
 
 def test_count_matches_stream_length_up_to_order_8():

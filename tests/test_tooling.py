@@ -40,8 +40,6 @@ def test_benchmark_tracer_wraps_every_layer_it_names():
     import umfb.cli  # noqa: F401
     from umfb import fdbcore, special
 
-    fdbcore._expansion.cache_clear()
-    fdbcore._tagged_expansion.cache_clear()
     sigma = special.SymmetricMatrix(((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3))))
     x = (Fraction(1), Fraction(-1, 2))
     expect = special.hermite_via_bell((3, 2), sigma, x)
@@ -58,3 +56,25 @@ def test_benchmark_tracer_wraps_every_layer_it_names():
     assert [rec["count"] for rec in tracer.spans if rec["parent"] == bell
             and rec["name"] == "multiindex.partitions"] == [7]
     assert special.partitions is fdbcore.partitions is sys.modules["umfb.multiindex"].partitions
+
+
+def test_package_keeps_no_module_level_cache():
+    """Caches live for one call: nothing in the package is decorated with
+    functools.lru_cache or functools.cache, which grow for the process."""
+    cached = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = getattr(target, "attr", getattr(target, "id", None))
+                    if name in ("lru_cache", "cache"):
+                        cached.append(f"{path.name}: {node.name}")
+    assert cached == []
+
+
+def test_public_names_resolve_once():
+    import umfb
+
+    assert len(umfb.__all__) == len(set(umfb.__all__))
+    assert [name for name in umfb.__all__ if not hasattr(umfb, name)] == []
