@@ -1,86 +1,37 @@
 """Compressed multivariate Faa di Bruno formula via multinomial expansion
 over multi-index partitions, with a chain-rule oracle and the classical
-applications (cumulants, compound Poisson, Hermite polynomials)."""
+applications (cumulants, compound Poisson, Hermite polynomials).
 
-from .algebra import FormulaPoly, relabel_shared
-from .errors import (
-    DimensionMismatch,
-    MissingValue,
-    PartsMismatch,
-    SingularSigma,
-    TermCapExceeded,
-    UmfbError,
-    ZeroIndex,
-)
-from .fdbcore import (
-    CompositionSpec,
-    MomentSequence,
-    dot_power_expansion,
-    generalized_bell,
-    predict_term_count,
-    umfb,
-)
-from .multiindex import (
-    Partition,
-    compositions_into,
-    count_partitions,
-    multi_factorial,
-    multinomial,
-    partitions,
-)
-from .oracle import (
-    DerivativeState,
-    chain_rule_derivative,
-    differentiate_once,
-    equivalence_check,
-)
-from .special import (
-    MomentTable,
-    SymmetricMatrix,
-    compound_poisson_moments,
-    cumulants_to_moments,
-    hermite,
-    hermite_via_bell,
-    laplace_derivative_sign,
-    moments_to_cumulants,
-    reciprocal_series_moment,
-)
+The public names load their module on first use (PEP 562), so importing
+the package, or one module of it, does not import the others."""
 
-__all__ = [
-    "FormulaPoly",
-    "relabel_shared",
-    "UmfbError",
-    "PartsMismatch",
-    "ZeroIndex",
-    "DimensionMismatch",
-    "MissingValue",
-    "SingularSigma",
-    "TermCapExceeded",
-    "CompositionSpec",
-    "MomentSequence",
-    "dot_power_expansion",
-    "umfb",
-    "generalized_bell",
-    "predict_term_count",
-    "Partition",
-    "multi_factorial",
-    "multinomial",
-    "compositions_into",
-    "partitions",
-    "count_partitions",
-    "DerivativeState",
-    "differentiate_once",
-    "chain_rule_derivative",
-    "equivalence_check",
-    "MomentTable",
-    "SymmetricMatrix",
-    "moments_to_cumulants",
-    "cumulants_to_moments",
-    "compound_poisson_moments",
-    "laplace_derivative_sign",
-    "reciprocal_series_moment",
-    "hermite",
-    "hermite_via_bell",
-]
+from importlib import import_module
+
+_HOMES = {
+    "algebra": ("FormulaPoly", "relabel_shared"),
+    "errors": ("UmfbError", "PartsMismatch", "ZeroIndex", "DimensionMismatch",
+               "MissingValue", "SingularSigma", "TermCapExceeded"),
+    "fdbcore": ("CompositionSpec", "MomentSequence", "dot_power_expansion", "umfb",
+                "generalized_bell", "predict_term_count"),
+    "multiindex": ("Partition", "multi_factorial", "multinomial", "compositions_into",
+                   "partitions", "count_partitions"),
+    "oracle": ("DerivativeState", "differentiate_once", "chain_rule_derivative",
+               "equivalence_check"),
+    "special": ("MomentTable", "SymmetricMatrix", "moments_to_cumulants",
+                "cumulants_to_moments", "compound_poisson_moments",
+                "laplace_derivative_sign", "reciprocal_series_moment", "hermite",
+                "hermite_via_bell"),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value

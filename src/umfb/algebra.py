@@ -78,12 +78,13 @@ def _degree(factors: Factors) -> int:
 class FormulaPoly:
     """A collected polynomial over derivative symbols, with exact coefficients."""
 
-    __slots__ = ("n", "m", "_terms")
+    __slots__ = ("n", "m", "_terms", "_ordered")
 
     def __init__(self, n: int, m: int, terms: dict | None = None):
         self.n = n
         self.m = m
         self._terms: dict[Factors, int | Fraction] = terms if terms is not None else {}
+        self._ordered = False  # True when the dict is already in canonical order
 
     # -- construction ------------------------------------------------------
 
@@ -116,6 +117,8 @@ class FormulaPoly:
     def terms(self) -> tuple[tuple, ...]:
         """Canonically ordered (coefficient, factors) pairs: keys bucketed by
         degree, each bucket sorted as plain tuples (no per-term sort key)."""
+        if self._ordered:
+            return tuple(zip(self._terms.values(), self._terms))
         by_degree: dict[int, list] = {}
         for k in self._terms:
             by_degree.setdefault(_degree(k), []).append(k)
@@ -228,40 +231,18 @@ class FormulaPoly:
         return self.render("json")
 
     def chunks(self, fmt: str = "text"):
-        """Yield the rendering in ``fmt`` (text, latex or json) piece by piece:
-        one chunk per term in canonical order, plus json's envelope.  Each
+        """The rendering in ``fmt`` (text, latex or json) piece by piece: one
+        chunk per term in canonical order, plus json's envelope.  Each
         distinct (symbol, exponent) factor is formatted once per call."""
-        if fmt not in ("text", "latex", "json"):
+        if fmt not in _JOINERS:
             raise ValueError(f"unknown format {fmt!r}")
-        as_json = fmt == "json"
-        joiner = "*" if fmt == "text" else " "
-        if as_json:
-            yield f'{{"n":{json.dumps(self.n)},"m":{json.dumps(self.m)},"terms":['
-        elif not self._terms:
-            yield "0"
-        cache: dict = {}
-        started = False
-        for coeff, factors in self.terms():
-            parts = []
-            for factor in factors:
-                text = cache.get(factor)
-                if text is None:
-                    text = cache[factor] = _render_factor(factor, fmt)
-                parts.append(text)
-            if as_json:
-                yield ("," if started else "") + _json_term(coeff, factors, parts)
-            else:
-                mag = -coeff if coeff < 0 else coeff
-                if mag != 1 or not parts:
-                    parts.insert(0, str(mag))
-                body = joiner.join(parts)
-                if coeff < 0:
-                    yield (" - " if started else "-") + body
-                else:
-                    yield (" + " if started else "") + body
-            started = True
-        if as_json:
-            yield "]}"
+        texts, joiner = _Texts(fmt), _JOINERS[fmt]
+
+        def body(factors):
+            parts = [texts[factor] for factor in factors]
+            return _json_factors(factors, parts) if fmt == "json" else joiner.join(parts)
+
+        return _document(self.n, self.m, fmt, ((c, body(f)) for c, f in self.terms()))
 
     @classmethod
     def from_json(cls, text: str) -> "FormulaPoly":
@@ -303,6 +284,9 @@ def _lookup_value(lookup, key):
         raise MissingValue(f"no value at {key}") from None
 
 
+_JOINERS = {"text": "*", "latex": " ", "json": ","}  # between factor fragments
+
+
 def _coeff_str(coeff) -> str:
     if isinstance(coeff, Fraction) and coeff.denominator != 1:
         return f"{coeff.numerator}/{coeff.denominator}"
@@ -336,8 +320,25 @@ def _render_factor(factor: tuple, fmt: str) -> str:
     return body
 
 
-def _json_term(coeff, factors: Factors, parts: list) -> str:
-    """One term object of the json rendering, from its factors' fragments."""
+class _Texts(dict):
+    """Factors formatted in one format, each once, on its first lookup."""
+
+    def __init__(self, fmt: str):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, factor):
+        text = self[factor] = _render_factor(factor, self.fmt)
+        return text
+
+
+def _json_body(outer, inner: str, variables: str) -> str:
+    """A json term's members after "coeff", from formatted fragments."""
+    return f'"outer":{outer or "null"},"inner":[{inner}],"vars":[{variables}]'
+
+
+def _json_factors(factors: Factors, parts: list) -> str:
+    """`_json_body` of one term, its factors' fragments sorted by member."""
     outer = None
     inner, variables = [], []
     for (sym, _), part in zip(factors, parts):
@@ -349,5 +350,29 @@ def _json_term(coeff, factors: Factors, parts: list) -> str:
             inner.append(part)
         else:
             variables.append(part)
-    return (f'{{"coeff":"{_coeff_str(coeff)}","outer":{outer or "null"},'
-            f'"inner":[{",".join(inner)}],"vars":[{",".join(variables)}]}}')
+    return _json_body(outer, ",".join(inner), ",".join(variables))
+
+
+def _document(n: int, m: int, fmt: str, terms):
+    """The chunks of a rendering from its (coefficient, body) terms in order,
+    a body being the term's formatted factors (for json, its `_json_body`):
+    one chunk per term with its separator, sign and coefficient, and json's
+    envelope, or "0" for a text without terms."""
+    as_json = fmt == "json"
+    if as_json:
+        yield f'{{"n":{json.dumps(n)},"m":{json.dumps(m)},"terms":['
+    first = True
+    for coeff, body in terms:
+        if as_json:
+            yield f'{"" if first else ","}{{"coeff":"{_coeff_str(coeff)}",{body}}}'
+        else:
+            sign = ("-" if first else " - ") if coeff < 0 else ("" if first else " + ")
+            mag = -coeff if coeff < 0 else coeff
+            if mag != 1 or not body:
+                body = str(mag) + _JOINERS[fmt] + body if body else str(mag)
+            yield sign + body
+        first = False
+    if as_json:
+        yield "]}"
+    elif first:
+        yield "0"

@@ -12,21 +12,12 @@ import time
 from fractions import Fraction
 from itertools import islice, product
 
-from .algebra import FormulaPoly
 from .errors import TermCapExceeded, UmfbError
-from .fdbcore import CompositionSpec, _check_cap, generalized_bell, umfb
+from .fdbcore import (CompositionSpec, MomentSequence, _check_cap, _chunks, generalized_bell,
+                      umfb)
 from .multiindex import as_index, count_partitions, order, partitions
-from .oracle import chain_rule_derivative, equivalence_check
-from .special import (
-    MomentSequence,
-    MomentTable,
-    SymmetricMatrix,
-    compound_poisson_moments,
-    cumulants_to_moments,
-    hermite,
-    hermite_via_bell,
-    moments_to_cumulants,
-)
+
+# `special` and `oracle` load only in the commands that use them: a faster start.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -66,11 +57,6 @@ def _parse_vector(text: str):
         return tuple(Fraction(p) for p in text.split(","))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def _parse_matrix(text: str) -> SymmetricMatrix:
-    rows = tuple(_parse_vector(row) for row in text.split(";"))
-    return SymmetricMatrix(rows)
 
 
 def _rat(v) -> str:
@@ -174,23 +160,25 @@ def _dispatch(args, out, err) -> int:
         return _cmd_verify(args, out)
     if cmd == "bench":
         return _cmd_bench(args, out, err)
+    from . import special
+
     if cmd == "cumulants":
-        value = moments_to_cumulants(_load_table(args.table), args.index)
+        value = special.moments_to_cumulants(_load_table(args.table), args.index)
     elif cmd == "moments":
-        value = cumulants_to_moments(_load_table(args.table), args.index)
+        value = special.cumulants_to_moments(_load_table(args.table), args.index)
     elif cmd == "poisson":
         if args.alpha == "unity":
             alpha = MomentSequence.unity()
         else:
             alpha = MomentSequence.from_values(_parse_vector(args.alpha))
-        value = compound_poisson_moments(alpha, _load_table(args.table), args.index)
+        value = special.compound_poisson_moments(alpha, _load_table(args.table), args.index)
     else:  # hermite; argparse admits no other command
-        sigma = _parse_matrix(args.sigma)
+        sigma = special.SymmetricMatrix(tuple(map(_parse_vector, args.sigma.split(";"))))
         x = _parse_vector(args.x)
         if args.route == "bell":
-            value = hermite_via_bell(args.index, sigma, x)
+            value = special.hermite_via_bell(args.index, sigma, x)
         else:
-            value = hermite(args.index, sigma, x, scaled=args.scaled)
+            value = special.hermite(args.index, sigma, x, scaled=args.scaled)
     print(_rat(value), file=out)
     return EXIT_OK
 
@@ -202,11 +190,14 @@ def _cmd_compute(args, out) -> int:
     if args.mode == "uni-outer":
         n = 1
     if args.mode == "bell":
-        poly = generalized_bell(i, n, m)
+        chunks = generalized_bell(i, n, m).chunks(args.format)
+    elif args.mode == "shared-inner":
+        chunks = umfb(CompositionSpec(i, n, m, inner_mode="shared")).chunks(args.format)
     else:
-        mode = "shared" if args.mode == "shared-inner" else "distinct"
-        poly = umfb(CompositionSpec(index=i, n=n, m=m, inner_mode=mode))
-    _write(out, poly.chunks(args.format), args.output)
+        # the spec and the cap are checked before the file opens; the terms
+        # are written as they are generated
+        chunks = _chunks(CompositionSpec(index=i, n=n, m=m), args.format)
+    _write(out, chunks, args.output)
     return EXIT_OK
 
 
@@ -231,6 +222,8 @@ def _cmd_partitions(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from .oracle import chain_rule_derivative, equivalence_check
+
     checked = 0
     for m in range(1, args.max_m + 1):
         for i in product(range(args.max_order + 1), repeat=m):
@@ -274,6 +267,8 @@ def _load_bench_rows(path):
 
 
 def _cmd_bench(args, out, err) -> int:
+    from .oracle import chain_rule_derivative
+
     rows = _load_bench_rows(args.rows)
     lines = ["i;n;m;terms;umfb_ms;oracle_ms"]
     status = EXIT_OK
@@ -312,7 +307,9 @@ def _cmd_bench(args, out, err) -> int:
     return status
 
 
-def _load_table(path) -> MomentTable:
+def _load_table(path):
+    from .special import MomentTable
+
     with open(path) as fh:
         text = fh.read()
     try:

@@ -14,20 +14,16 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
-from .algebra import FormulaPoly, add_term, merge_factors
+from .algebra import (_JOINERS, FormulaPoly, _document, _json_body, _Texts, add_term,
+                      merge_factors)
 from .errors import MissingValue, TermCapExceeded
-from .multiindex import (
-    Index,
-    as_index,
-    compositions_into,
-    count_partitions,
-    multinomial,
-    order,
-    partitions,
-)
+from .multiindex import (Index, Partition, as_index, compositions_into, count_partitions,
+                         multi_factorial, multinomial, order, partitions)
 
 DEFAULT_TERM_CAP = 10_000_000
 TERM_CAP_ENV = "UMFB_TERM_CAP"
@@ -111,11 +107,14 @@ def _check_cap(index: Index, n: int, columns=None):
         limit = -1
     if limit < 0:
         raise ValueError(f"{TERM_CAP_ENV}={env!r} is not a nonnegative integer")
-    predicted = predict_term_count(index, n, columns)
+    # Tuples over the axis columns only split into one integer-partition
+    # n-tuple per coordinate: a lower bound on the count, at a fraction of its cost.
+    bound = prod(count_partitions((e,), n) for e in index if e) if columns is None else 0
+    predicted = bound if bound > limit else predict_term_count(index, n, columns)
     if predicted > limit:
         raise TermCapExceeded(
-            f"predicted {predicted} terms exceeds the term cap {TERM_CAP_ENV}={limit} "
-            f"for index {index}, n={n}"
+            f"predicted {'at least ' if bound > limit else ''}{predicted} terms exceeds "
+            f"the term cap {TERM_CAP_ENV}={limit} for index {index}, n={n}"
         )
 
 
@@ -138,7 +137,16 @@ def umfb(spec: CompositionSpec) -> FormulaPoly:
     per-function partition lengths; in shared mode inner function ids
     collapse to 1 before collection.
     """
-    return _assemble(spec, bell=False)
+    if spec.inner_mode == "shared" or spec.outer is not None:
+        return _assemble(spec, bell=False)
+    _check_cap(spec.index, spec.n)
+    acc: dict = {}
+    for _, terms in _stream(spec.index, spec.n, lambda lengths: ((("f", lengths), 1),),
+                            lambda fn, cols: tuple((("g", fn, c), mult) for c, mult in cols)):
+        acc.update(terms)
+    poly = FormulaPoly(spec.n, spec.m, acc)
+    poly._ordered = True
+    return poly
 
 
 def generalized_bell(i: Index, n: int, m: int) -> FormulaPoly:
@@ -217,3 +225,90 @@ def _assemble(spec: CompositionSpec, bell: bool) -> FormulaPoly:
                 acc[key] = coeff
     return FormulaPoly(spec.n, spec.m, acc)
 
+
+def _stream(i: Index, n: int, start, tag):
+    """The distinct-mode formula with a symbolic outer, in `terms()` order:
+    (l, terms) for each outer index l, by |l| then lex, terms listing
+    (payload, coefficient) by (A_1, ..., A_n).  A_j is function j's partition,
+    of length l_j, as its (column, multiplicity) tuple; two of one length are
+    never proper prefixes of each other, so this is the order of the keys.
+    The payload is start(l) + tag(1, A_1) + ... + tag(n, A_n), the
+    coefficient i!/prod den(A_j), den = prod mult! col!^mult, carried down by
+    exact division.  Node (r, lengths) lists, by columns, the partitions of
+    some k <= r of length lengths[0] whose rest r - k the later functions can
+    finish with lengths[1:], each with its child node.  Memos live for one call."""
+    plain: dict = {}  # k -> [(columns, length, den)], by columns
+    rows: dict = {}   # (k, j) -> {length: [(columns, payload, den)]}, by columns
+    nodes: dict = {}  # (r, lengths) -> [(columns, payload, den, child)]
+    subs: dict = {}   # r -> [(k, |k|, r - k) for k <= r]
+
+    def row(k, length, j):
+        got = rows.get((k, j))
+        if got is None:
+            if k not in plain:
+                k_fact = multi_factorial(k)  # the zero index: one empty partition
+                parts = partitions(k) if any(k) else [Partition((), 1)]
+                plain[k] = sorted((p.columns, p.length, k_fact // p.weight) for p in parts)
+            got = rows[k, j] = {}
+            for cols, size, den in plain[k]:
+                got.setdefault(size, []).append((cols, tag(j, cols), den))
+        return got.get(length, ())
+
+    def node(r, lengths):
+        got = nodes.get((r, lengths))
+        if got is None:
+            length, rest = lengths[0], lengths[1:]
+            j = n - len(rest)
+            if not rest:
+                got = [(*entry, None) for entry in row(r, length, j)]
+            else:
+                got, need, total = [], sum(rest), sum(r)
+                splits = subs.get(r)
+                if splits is None:
+                    splits = subs[r] = [(k, sum(k), tuple(a - b for a, b in zip(r, k)))
+                                        for k in product(*(range(e + 1) for e in r))]
+                # k has a partition of length L iff 1 <= L <= |k|, or k = 0 = L
+                for k, size, left in splits:
+                    if (0 < length <= size or length == size == 0) and (
+                            0 < need <= total - size or need == total - size == 0):
+                        child = node(left, rest)
+                        got += [(*entry, child) for entry in row(k, length, j)]
+                got.sort(key=itemgetter(0))
+            nodes[r, lengths] = got
+        return got
+
+    def walk(entries, coeff, acc, out):
+        if entries[0][3] is None:
+            out += [(acc + payload, coeff // den) for _, payload, den, _ in entries]
+        else:
+            for _, payload, den, child in entries:
+                walk(child, coeff // den, acc + payload, out)
+
+    top = multi_factorial(i)
+    for d in range(order(i) + 1):
+        for parts in compositions_into((d,), n):
+            lengths = tuple(a for (a,) in parts)
+            entries = node(i, lengths)
+            if entries:
+                out: list = []
+                walk(entries, top, start(lengths), out)
+                yield lengths, out
+
+
+def _chunks(spec: CompositionSpec, fmt: str):
+    """`umfb(spec).chunks(fmt)` for distinct mode with a symbolic outer, from
+    `_stream`: the cap is checked on the call, and each outer symbol and each
+    (function, partition) fragment is formatted once."""
+    _check_cap(spec.index, spec.n)
+    joiner, texts = _JOINERS[fmt], _Texts(fmt)
+
+    def fragment(fn, columns):
+        return "".join([joiner + texts[("g", fn, col), mult] for col, mult in columns])
+
+    def bodies():
+        for lengths, terms in _stream(spec.index, spec.n, lambda lengths: "", fragment):
+            outer = texts[("f", lengths), 1]
+            for inner, coeff in terms:
+                yield coeff, _json_body(outer, inner[1:], "") if fmt == "json" else outer + inner
+
+    return _document(spec.n, spec.m, fmt, bodies())

@@ -9,6 +9,8 @@ from umfb.algebra import FormulaPoly
 from umfb.fdbcore import CompositionSpec, umfb
 from umfb.special import MomentTable
 
+from helpers import all_indices, reference_render
+
 
 def run(argv, monkeypatch=None):
     out, err = io.StringIO(), io.StringIO()
@@ -57,6 +59,30 @@ def test_compute_stdout_and_file_are_identical(tmp_path, monkeypatch, fmt):
     assert out == umfb(CompositionSpec(index=(2, 1), n=2, m=2)).render(fmt) + "\n"
 
 
+@pytest.mark.parametrize("argv", [["-i", "2,1", "-n", "0"], ["-i", "1,1", "-m", "3"]])
+def test_invalid_compute_creates_no_file(tmp_path, argv):
+    target = tmp_path / "poly.txt"
+    code, out, err = run(["compute"] + argv + ["-o", str(target)])
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not target.exists()
+
+
+def test_general_compute_matches_the_reference_renderer():
+    """`compute` writes the general and uni-outer formulas straight from the
+    term stream; each output equals the plain sort-and-format rendering of
+    `umfb`'s terms, for every |i| <= 4, m <= 3, n <= 3 and format."""
+    for m in (1, 2, 3):
+        for i in all_indices(m, 4, include_zero=True):
+            flag = ",".join(map(str, i))
+            for n, mode in ((1, "uni-outer"), (1, "general"), (2, "general"), (3, "general")):
+                terms = dict(umfb(CompositionSpec(index=i, n=n, m=m))._terms)
+                for fmt in ("text", "latex", "json"):
+                    code, out, err = run(["compute", "-i", flag, "-n", str(n),
+                                          "--mode", mode, "--format", fmt])
+                    assert (code, err) == (0, "")
+                    assert out == reference_render(n, m, terms, fmt) + "\n", (i, n, mode, fmt)
+
+
 def test_capped_compute_creates_no_file(tmp_path, monkeypatch):
     monkeypatch.setenv("UMFB_TERM_CAP", "1")
     target = tmp_path / "poly.json"
@@ -75,22 +101,31 @@ class WriteCounter(io.StringIO):
 
 
 # sha256 of `umfb compute -i 6,5 -n 2` (14,098 terms) on stdout, recorded from
-# the renderer that built each output as one string.
-GOLDEN_6_5_N2 = {
-    "text": "1498716580a33aaae014e1bc7956e4ed619017948d8fa066dc470cf56fc184ec",
-    "latex": "a086282b8970f5b7303d151d4bb8a610196ce406a2784aa9b3abd9aaa3cc2e3e",
-    "json": "27d97834d65a3af371ee50ee96a07b6767e1d1bbbe6d9734d789d3cea6f8db50",
+# the renderer that built each output as one string, and of `-i 5,4 -n 3`
+# (20,208 terms), recorded from the renderer that sorted a dict of every term.
+GOLDEN = {
+    ("6,5", "2"): {
+        "text": "1498716580a33aaae014e1bc7956e4ed619017948d8fa066dc470cf56fc184ec",
+        "latex": "a086282b8970f5b7303d151d4bb8a610196ce406a2784aa9b3abd9aaa3cc2e3e",
+        "json": "27d97834d65a3af371ee50ee96a07b6767e1d1bbbe6d9734d789d3cea6f8db50",
+    },
+    ("5,4", "3"): {
+        "text": "1820090e3dd407d757769d84585b961f8710f2aa65e2c10b8e0181e5554438d3",
+        "latex": "2daacff1ce49a4f70ddc5abf6fd95fe1015d90627b3203af7e10352e2e19db69",
+        "json": "3966e0080dfb9ca8b1de6773ec89de3c76d4b95f3780cebc11e865cab058aca4",
+    },
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(GOLDEN_6_5_N2))
+@pytest.mark.parametrize("fmt", ["json", "latex", "text"])
 def test_compute_golden_digest_written_in_blocks(fmt):
-    out = WriteCounter()
-    code = cli.main(["compute", "-i", "6,5", "-n", "2", "--format", fmt],
-                    out=out, err=io.StringIO())
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN_6_5_N2[fmt]
-    assert out.writes <= 20  # blocks of terms, never one write per term
+    for (index, n), digests in GOLDEN.items():
+        out = WriteCounter()
+        code = cli.main(["compute", "-i", index, "-n", n, "--format", fmt],
+                        out=out, err=io.StringIO())
+        assert code == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[fmt], index
+        assert out.writes <= 20  # blocks of terms, never one write per term
 
 
 def test_compute_bad_length():

@@ -3,12 +3,16 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umfb.algebra import FormulaPoly, inner_symbol, outer_symbol, relabel_shared, var_symbol
 from umfb.errors import MissingValue, TermCapExceeded
 from umfb.fdbcore import (
     CompositionSpec,
     MomentSequence,
+    _assemble,
+    _check_cap,
     dot_power_expansion,
     generalized_bell,
     predict_term_count,
@@ -239,6 +243,42 @@ def test_term_cap(monkeypatch):
         dot_power_expansion((3, 3))
     monkeypatch.setenv("UMFB_TERM_CAP", str(count_partitions((3, 3))))
     assert len(dot_power_expansion((3, 3))) == count_partitions((3, 3))
+
+
+def test_cap_bound_never_exceeds_the_count(monkeypatch):
+    """The cap's axis-column bound refuses only what the exact count refuses:
+    with the cap at the count nothing is refused, one below it always is."""
+    for m in (1, 2, 3):
+        for i in all_indices(m, 4, include_zero=True):
+            for n in (1, 2, 3):
+                count = term_count_by_series(i, n)
+                monkeypatch.setenv("UMFB_TERM_CAP", str(count))
+                _check_cap(i, n)
+                monkeypatch.setenv("UMFB_TERM_CAP", str(count - 1))
+                with pytest.raises(TermCapExceeded):
+                    _check_cap(i, n)
+
+
+def test_cap_bound_refuses_a_huge_index_before_counting(monkeypatch):
+    monkeypatch.setattr("umfb.fdbcore.predict_term_count", None)  # never reached
+    with pytest.raises(TermCapExceeded, match=r"predicted at least 1\d{13} terms"):
+        _check_cap((20, 20, 20), 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.integers(1, 3))
+def test_stream_keys_strictly_increase_in_terms_order(index, n):
+    """`umfb` builds its dict from the canonical-order stream: the keys come
+    out strictly increasing by (degree, factors), as many as the n-tuples of
+    partitions, and the same terms as the collecting assembly."""
+    i, m = tuple(index), len(index)
+    spec = CompositionSpec(index=i, n=n, m=m)
+    poly = umfb(spec)
+    keys = [(sum(e for _, e in k), k) for k in poly._terms]
+    assert all(a < b for a, b in zip(keys, keys[1:])), (i, n)
+    assert len(keys) == term_count_by_series(i, n)
+    assert poly._terms == _assemble(spec, bell=False)._terms
+    assert [k for _, k in poly.terms()] == [k for _, k in sorted(keys)]
 
 
 def test_compose_generating_check_matches_substitution():
