@@ -191,12 +191,11 @@ def _cmd_compute(args, out) -> int:
         n = 1
     if args.mode == "bell":
         chunks = generalized_bell(i, n, m).chunks(args.format)
-    elif args.mode == "shared-inner":
-        chunks = umfb(CompositionSpec(i, n, m, inner_mode="shared")).chunks(args.format)
     else:
         # the spec and the cap are checked before the file opens; the terms
         # are written as they are generated
-        chunks = _chunks(CompositionSpec(index=i, n=n, m=m), args.format)
+        mode = "shared" if args.mode == "shared-inner" else "distinct"
+        chunks = _chunks(CompositionSpec(i, n, m, inner_mode=mode), args.format)
     _write(out, chunks, args.output)
     return EXIT_OK
 

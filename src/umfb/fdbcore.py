@@ -1,11 +1,12 @@
 """Compressed multivariate Faa di Bruno expansion.
 
-The core expansion writes the i-th derivative symbol of a composite function
-as a sum over partitions of i: each partition lambda contributes the integer
-weight i!/(multiplicities(lambda)! * columns(lambda)!), an outer factor of
-degree length(lambda) and one inner factor per column.  The full multivariate
-formula distributes a multinomial sum over ordered decompositions of i into
-one part per inner function and merges the per-function expansions.
+The i-th derivative of f(g_1, ..., g_n) is a sum over the n-tuples of
+partitions A_1, ..., A_n of multi-indices summing to i: each tuple carries the
+integer weight i!/prod_j prod mult! col!^mult over the columns of A_j, the
+outer symbol f[l] with l_j the length of A_j, and one inner factor per column.
+One engine, `_stream`, walks these tuples in canonical term order, and every
+mode reads it.  A shared inner function is its one-function case:
+f(g, ..., g) = h(g) with h^(d) = sum over |l| = d of d!/l! f[l].
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
-from .algebra import (_JOINERS, FormulaPoly, _document, _json_body, _Texts, add_term,
-                      merge_factors)
+from .algebra import _JOINERS, FormulaPoly, _document, _json_body, _Texts
 from .errors import MissingValue, TermCapExceeded
 from .multiindex import (Index, Partition, as_index, compositions_into, count_partitions,
                          multi_factorial, multinomial, order, partitions)
@@ -134,18 +134,27 @@ def umfb(spec: CompositionSpec) -> FormulaPoly:
     """The compressed multivariate Faa di Bruno formula for ``spec``.
 
     Outer powers are collected into a single outer symbol indexed by the
-    per-function partition lengths; in shared mode inner function ids
-    collapse to 1 before collection.
+    per-function partition lengths; shared mode is the one-function stream
+    with outer h (see `_rows`).  A numeric outer multiplies each row of terms
+    by a_l, or in shared mode by h_d = sum over |l| = d of d!/l! a_l, and a
+    row whose value is 0 is dropped.
     """
-    if spec.inner_mode == "shared" or spec.outer is not None:
-        return _assemble(spec, bell=False)
     _check_cap(spec.index, spec.n)
     acc: dict = {}
-    for _, terms in _stream(spec.index, spec.n, lambda lengths: ((("f", lengths), 1),),
-                            lambda fn, cols: tuple((("g", fn, c), mult) for c, mult in cols)):
-        acc.update(terms)
-    poly = FormulaPoly(spec.n, spec.m, acc)
-    poly._ordered = True
+    shared, outer, n = spec.inner_mode == "shared", spec.outer, spec.n
+    if outer is None:
+        for _, terms in _rows(spec, lambda lengths: ((("f", lengths), 1),), _inner):
+            acc.update(terms)
+    else:
+        for lengths, terms in _stream(spec.index, 1 if shared else n, lambda _: (), _inner):
+            if shared:
+                value = sum(w * outer.at(idx) for idx, w in _outer_indices(lengths[0], n))
+            else:
+                value = outer.at(lengths)
+            if value != 0:
+                acc.update((key, coeff * value) for key, coeff in terms)
+    poly = FormulaPoly(n, spec.m, acc)
+    poly._ordered = outer is None or shared  # without f[l], only n = 1 keeps key order
     return poly
 
 
@@ -153,77 +162,36 @@ def generalized_bell(i: Index, n: int, m: int) -> FormulaPoly:
     """Same expansion as `umfb` with the outer symbol rendered as a monomial
     in the indeterminates x1..xn; substituting xj by the outer moments
     recovers the `umfb` output."""
-    spec = CompositionSpec(index=as_index(i), n=n, m=m)
-    return _assemble(spec, bell=True)
-
-
-def _tagged_expansion(memo: dict, index: Index, fn: int) -> tuple:
-    """Partition expansion of one power as (weight, length, factors) triples,
-    the inner factors pre-built as (symbol, exponent) tuples for function id
-    ``fn``; columns are ascending, so the factors come out sorted.  The zero
-    index expands to the single unit triple, mirroring the base case of the
-    recursive reference procedure.
-
-    ``memo`` is the calling `_assemble`'s table: memo[index] holds the
-    untagged (weight, length, columns) triples, enumerated once per call and
-    shared by every function id, and memo[index, fn] the tagged ones."""
-    row = memo.get((index, fn))
-    if row is None:
-        plain = memo.get(index)
-        if plain is None:
-            plain = memo[index] = ((1, 0, ()),) if order(index) == 0 else tuple(
-                (p.coefficient(), p.length, p.columns) for p in partitions(index)
-            )
-        row = memo[index, fn] = tuple(
-            (weight, length, tuple((("g", fn, col), mult) for col, mult in cols))
-            for weight, length, cols in plain
-        )
-    return row
-
-
-def _assemble(spec: CompositionSpec, bell: bool) -> FormulaPoly:
-    """Collect the products of the per-function expansions.  Keys are built
-    sorted (outer factor, inner factors in function order, x factors); only
-    shared mode with n > 1 repeats symbols, so only it merges and collects."""
-    i, n = spec.index, spec.n
-    shared = spec.inner_mode == "shared"
+    i = CompositionSpec(index=i, n=n, m=m).index
     _check_cap(i, n)
     acc: dict = {}
-    memo: dict = {}
-    outer_factors: dict = {}  # one shared outer factor per length tuple
-    for parts in compositions_into(i, n):
-        base = multinomial(i, parts)
-        expansions = [
-            _tagged_expansion(memo, k, 1 if shared else j)
-            for j, k in enumerate(parts, start=1)
-        ]
-        for combo in product(*expansions):
-            coeff = base
-            inner: tuple = ()
-            lengths = []
-            for weight, length, factors in combo:
-                coeff *= weight
-                lengths.append(length)
-                inner += factors
-            if bell:
-                key = inner + tuple(
-                    (("x", j), length)
-                    for j, length in enumerate(lengths, start=1)
-                    if length
-                )
-            elif spec.outer is None:
-                lengths = tuple(lengths)
-                key = outer_factors.setdefault(lengths, ((("f", lengths), 1),)) + inner
-            else:
-                coeff = coeff * spec.outer.at(tuple(lengths))
-                if coeff == 0:
-                    continue
-                key = inner
-            if shared and n > 1:
-                add_term(acc, merge_factors(key), coeff)
-            else:
-                acc[key] = coeff
-    return FormulaPoly(spec.n, spec.m, acc)
+    for lengths, terms in _stream(i, n, lambda _: (), _inner):
+        xs = tuple((("x", j), e) for j, e in enumerate(lengths, start=1) if e)
+        acc.update((key + xs, coeff) for key, coeff in terms)
+    return FormulaPoly(n, m, acc)
+
+
+def _inner(fn: int, columns) -> tuple:
+    return tuple((("g", fn, col), mult) for col, mult in columns)
+
+
+def _outer_indices(d: int, n: int) -> list:
+    """(l, d!/l!) for every n-index l with |l| = d, in lex order."""
+    return [(tuple(a for (a,) in parts), multinomial((d,), parts))
+            for parts in compositions_into((d,), n)]
+
+
+def _rows(spec: CompositionSpec, start, tag):
+    """`_stream` in ``spec``'s inner mode.  Shared mode walks the one-function
+    stream, whose row d (the start left empty) becomes one row per l with
+    |l| = d, in lex order, each term weighted d!/l!: still `terms()` order."""
+    if spec.inner_mode != "shared":
+        yield from _stream(spec.index, spec.n, start, tag)
+        return
+    for (d,), terms in _stream(spec.index, 1, lambda lengths: start(lengths)[:0], tag):
+        for lengths, weight in _outer_indices(d, spec.n):
+            head = start(lengths)
+            yield lengths, [(head + payload, coeff * weight) for payload, coeff in terms]
 
 
 def _stream(i: Index, n: int, start, tag):
@@ -296,9 +264,9 @@ def _stream(i: Index, n: int, start, tag):
 
 
 def _chunks(spec: CompositionSpec, fmt: str):
-    """`umfb(spec).chunks(fmt)` for distinct mode with a symbolic outer, from
-    `_stream`: the cap is checked on the call, and each outer symbol and each
-    (function, partition) fragment is formatted once."""
+    """`umfb(spec).chunks(fmt)` for a symbolic outer, from `_rows`: the cap is
+    checked on the call, and each outer symbol and each (function, partition)
+    fragment is formatted once."""
     _check_cap(spec.index, spec.n)
     joiner, texts = _JOINERS[fmt], _Texts(fmt)
 
@@ -306,7 +274,7 @@ def _chunks(spec: CompositionSpec, fmt: str):
         return "".join([joiner + texts[("g", fn, col), mult] for col, mult in columns])
 
     def bodies():
-        for lengths, terms in _stream(spec.index, spec.n, lambda lengths: "", fragment):
+        for lengths, terms in _rows(spec, lambda lengths: "", fragment):
             outer = texts[("f", lengths), 1]
             for inner, coeff in terms:
                 yield coeff, _json_body(outer, inner[1:], "") if fmt == "json" else outer + inner

@@ -3,7 +3,9 @@
 Nothing here imports the partition expansion under test: partitions are
 recovered from labelled set partitions, and generating-function checks use a
 tiny truncated-series implementation written directly against the defining
-power series.
+power series.  The one exception is `collected_formula`, which checks how the
+formula is assembled from per-function partition expansions, and takes those
+from the package's enumerator.
 """
 
 import json
@@ -97,6 +99,45 @@ def term_count_by_series(index, n, columns=None):
                 if all(a >= b for a, b in zip(k, c)):
                     coeff[k] += coeff[tuple(a - b for a, b in zip(k, c))]
     return coeff[index]
+
+
+# -- the formula, collected the plain way -----------------------------------
+
+
+def collected_formula(i, n, shared=False):
+    """The formula {factors: coefficient} by collection: for each ordered
+    decomposition k_1 + ... + k_n = i, weighted multinomial(i; k), every
+    product of one partition of each k_j with the outer symbol f[l] at their
+    lengths l, factors merged and sorted and like terms added.  In ``shared``
+    mode every inner function is g1."""
+    from umfb.multiindex import compositions_into, multinomial, partitions
+
+    expansions = {}
+
+    def expansion(k, fn):
+        if (k, fn) not in expansions:
+            parts = partitions(k) if any(k) else []
+            expansions[k, fn] = [
+                (p.coefficient(), p.length, [(("g", fn, c), e) for c, e in p.columns])
+                for p in parts
+            ] or [(1, 0, [])]
+        return expansions[k, fn]
+
+    acc = {}
+    for ks in compositions_into(i, n):
+        base = multinomial(i, ks)
+        rows = [expansion(k, 1 if shared else j) for j, k in enumerate(ks, start=1)]
+        for combo in product(*rows):
+            coeff, lengths, merged = base, [], {}
+            for weight, length, inner in combo:
+                coeff *= weight
+                lengths.append(length)
+                for sym, e in inner:
+                    merged[sym] = merged.get(sym, 0) + e
+            merged[("f", tuple(lengths))] = 1
+            key = tuple(sorted(merged.items()))
+            acc[key] = acc.get(key, 0) + coeff
+    return acc
 
 
 # -- the output formats, written term by term -------------------------------

@@ -62,9 +62,10 @@ def test_compute_stdout_and_file_are_identical(tmp_path, monkeypatch, fmt):
 @pytest.mark.parametrize("argv", [["-i", "2,1", "-n", "0"], ["-i", "1,1", "-m", "3"]])
 def test_invalid_compute_creates_no_file(tmp_path, argv):
     target = tmp_path / "poly.txt"
-    code, out, err = run(["compute"] + argv + ["-o", str(target)])
-    assert code == 2 and out == "" and err.startswith("error: ")
-    assert not target.exists()
+    for mode in ("general", "shared-inner", "bell"):
+        code, out, err = run(["compute", "--mode", mode] + argv + ["-o", str(target)])
+        assert code == 2 and out == "" and err.startswith("error: "), mode
+        assert not target.exists(), mode
 
 
 def test_general_compute_matches_the_reference_renderer():
@@ -86,10 +87,11 @@ def test_general_compute_matches_the_reference_renderer():
 def test_capped_compute_creates_no_file(tmp_path, monkeypatch):
     monkeypatch.setenv("UMFB_TERM_CAP", "1")
     target = tmp_path / "poly.json"
-    code, out, err = run(["compute", "-i", "2,1", "-n", "2", "--format", "json",
-                          "-o", str(target)])
-    assert code == 3 and out == "" and "UMFB_TERM_CAP=1" in err
-    assert not target.exists()
+    for mode in ("general", "shared-inner", "bell"):
+        code, out, err = run(["compute", "-i", "2,1", "-n", "2", "--mode", mode,
+                              "--format", "json", "-o", str(target)])
+        assert code == 3 and out == "" and "UMFB_TERM_CAP=1" in err, mode
+        assert not target.exists(), mode
 
 
 class WriteCounter(io.StringIO):
@@ -102,29 +104,51 @@ class WriteCounter(io.StringIO):
 
 # sha256 of `umfb compute -i 6,5 -n 2` (14,098 terms) on stdout, recorded from
 # the renderer that built each output as one string, and of `-i 5,4 -n 3`
-# (20,208 terms), recorded from the renderer that sorted a dict of every term.
+# (20,208 terms), recorded from the renderer that sorted a dict of every term;
+# the shared-inner and bell digests were recorded from the assembly that
+# built every distinct-mode product and collected them.
 GOLDEN = {
-    ("6,5", "2"): {
+    ("6,5", "2", "general"): {
         "text": "1498716580a33aaae014e1bc7956e4ed619017948d8fa066dc470cf56fc184ec",
         "latex": "a086282b8970f5b7303d151d4bb8a610196ce406a2784aa9b3abd9aaa3cc2e3e",
         "json": "27d97834d65a3af371ee50ee96a07b6767e1d1bbbe6d9734d789d3cea6f8db50",
     },
-    ("5,4", "3"): {
+    ("5,4", "3", "general"): {
         "text": "1820090e3dd407d757769d84585b961f8710f2aa65e2c10b8e0181e5554438d3",
         "latex": "2daacff1ce49a4f70ddc5abf6fd95fe1015d90627b3203af7e10352e2e19db69",
         "json": "3966e0080dfb9ca8b1de6773ec89de3c76d4b95f3780cebc11e865cab058aca4",
+    },
+    ("6,5", "2", "shared-inner"): {
+        "text": "47e58fbde2a76c22681dbbfb4459bd9a429b3f0efb9300cad9eb99571c549fd5",
+        "latex": "237a955c0c4b8f1817af51afdef569d7e05859ca05f9a567d435c1e2d20fe844",
+        "json": "7cc452eae9657ad3905b775a1752a6b41a4e091deab8798f191b1e20329d709e",
+    },
+    ("5,4", "3", "shared-inner"): {
+        "text": "8809cc78f140bda23c55e73aeb048642ef14dab6e628c3bdc64385655cb9f3b4",
+        "latex": "f962ecca61666772dffc6f8ffc17eea0f5276b94a67f5b167f3ebbc159761550",
+        "json": "8bde8b6403c9275e04996caa19372adce9b80d7a145493777ff99fd05d1ca124",
+    },
+    ("6,5", "2", "bell"): {
+        "text": "b72467376aa3c28f1384592d4f1464d03b950ed19e4182b0e581322afa479bf9",
+        "latex": "8da9623f11e82a4b27e39e86a9f13d04d372fb1c3579bfdbd6d0e6387bcef865",
+        "json": "114fe7380f0f28d78d6bad2b73318bddf77e3623dd044c4ae9d7aa5ac4f4d844",
+    },
+    ("5,4", "3", "bell"): {
+        "text": "ff025a83da8995b23e44d288687712d01a616652becbe5861382899e0718942c",
+        "latex": "7c1e4deb1317ee07b642d56c3fee5943a08ff91db95b029f4f7a49668c274764",
+        "json": "3fc8496abc672dfdbe753db233f3f97733db34124fa74284bc6a22700b74418f",
     },
 }
 
 
 @pytest.mark.parametrize("fmt", ["json", "latex", "text"])
 def test_compute_golden_digest_written_in_blocks(fmt):
-    for (index, n), digests in GOLDEN.items():
+    for (index, n, mode), digests in GOLDEN.items():
         out = WriteCounter()
-        code = cli.main(["compute", "-i", index, "-n", n, "--format", fmt],
+        code = cli.main(["compute", "-i", index, "-n", n, "--mode", mode, "--format", fmt],
                         out=out, err=io.StringIO())
         assert code == 0
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[fmt], index
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[fmt], (index, mode)
         assert out.writes <= 20  # blocks of terms, never one write per term
 
 

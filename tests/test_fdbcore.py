@@ -11,7 +11,6 @@ from umfb.errors import MissingValue, TermCapExceeded
 from umfb.fdbcore import (
     CompositionSpec,
     MomentSequence,
-    _assemble,
     _check_cap,
     dot_power_expansion,
     generalized_bell,
@@ -24,6 +23,7 @@ from umfb.oracle import chain_rule_derivative
 from helpers import (
     all_indices,
     bell_number,
+    collected_formula,
     compose_moments,
     random_moment_values,
     reference_render,
@@ -174,9 +174,9 @@ def test_predicted_count_matches_distinct_output():
 
 
 def test_assembled_keys_are_sorted_and_distinct_products_stay_apart():
-    """`_assemble` builds each key in sorted order and stores distinct-mode
-    products without collecting: their count is the number of n-tuples of
-    partitions, counted independently by the generating function."""
+    """`umfb` and `generalized_bell` build each key in sorted order and store
+    distinct-mode products without collecting: their count is the number of
+    n-tuples of partitions, counted independently by the generating function."""
     for m in (1, 2, 3):
         for i in all_indices(m, 4, include_zero=True):
             for n in (1, 2, 3):
@@ -265,20 +265,69 @@ def test_cap_bound_refuses_a_huge_index_before_counting(monkeypatch):
         _check_cap((20, 20, 20), 2)
 
 
+def outer_replaced(terms, outer=None):
+    """{factors: coefficient} with each term's outer symbol f[l] (its first
+    factor) replaced by the value outer(l), like terms collected and zeros
+    dropped, or without ``outer`` by the monomial x^l of `generalized_bell`."""
+    acc = {}
+    for key, coeff in terms.items():
+        ((_, lengths), _), inner = key[0], key[1:]
+        if outer is None:
+            inner += tuple((("x", j), e) for j, e in enumerate(lengths, start=1) if e)
+        else:
+            coeff *= outer(lengths)
+        acc[inner] = acc.get(inner, 0) + coeff
+    return {key: coeff for key, coeff in acc.items() if coeff != 0}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.integers(1, 3))
 def test_stream_keys_strictly_increase_in_terms_order(index, n):
-    """`umfb` builds its dict from the canonical-order stream: the keys come
-    out strictly increasing by (degree, factors), as many as the n-tuples of
-    partitions, and the same terms as the collecting assembly."""
+    """`umfb` builds its dict from the canonical-order stream: with a
+    symbolic outer the keys come out strictly increasing by (degree, factors),
+    in distinct mode as many as the n-tuples of partitions.  Both modes,
+    shared mode also with a unit and a seeded table outer, and
+    `generalized_bell` have the terms of the plain collecting reference."""
     i, m = tuple(index), len(index)
-    spec = CompositionSpec(index=i, n=n, m=m)
-    poly = umfb(spec)
-    keys = [(sum(e for _, e in k), k) for k in poly._terms]
-    assert all(a < b for a, b in zip(keys, keys[1:])), (i, n)
-    assert len(keys) == term_count_by_series(i, n)
-    assert poly._terms == _assemble(spec, bell=False)._terms
-    assert [k for _, k in poly.terms()] == [k for _, k in sorted(keys)]
+    for mode in ("distinct", "shared"):
+        expected = collected_formula(i, n, shared=mode == "shared")
+        poly = umfb(CompositionSpec(index=i, n=n, m=m, inner_mode=mode))
+        keys = [(sum(e for _, e in k), k) for k in poly._terms]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (i, n, mode)
+        assert [k for _, k in poly.terms()] == [k for _, k in sorted(keys)]
+        assert poly._terms == expected, (i, n, mode)
+        if mode == "distinct":
+            assert len(keys) == term_count_by_series(i, n)
+            assert generalized_bell(i, n, m)._terms == outer_replaced(expected)
+    rng = Random(repr((i, n)))
+    table = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for k in all_indices(n, sum(i))}
+    for outer in (MomentSequence.unity(), MomentSequence.from_table(table)):
+        poly = umfb(CompositionSpec(index=i, n=n, m=m, inner_mode="shared", outer=outer))
+        assert poly._terms == outer_replaced(expected, outer.at), (i, n)
+        keys = [(sum(e for _, e in k), k) for k in poly._terms]
+        assert keys == sorted(keys), (i, n)  # stored, and so listed, in terms() order
+
+
+def test_shared_numeric_outer_weights_match_series_composition():
+    """Shared mode with a numeric outer folds h_d = sum over |l| = d of
+    d!/l! a_l; substituted, it equals the truncated series of f(g, ..., g)
+    on every |i| <= 3, n <= 3.  The tables make h_1 = 0, and that row's
+    terms are dropped, not stored as zeros."""
+    rng = Random(22)
+    for m in (1, 2, 3):
+        inner_table = random_moment_values(rng, m, 3)
+        inner = MomentSequence.from_table(inner_table)
+        for n in (1, 2, 3):
+            values = {k: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 4))
+                      for k in all_indices(n, 3)}
+            last = (0,) * (n - 1) + (1,)
+            values[last] -= sum(v for k, v in values.items() if sum(k) == 1)
+            outer = MomentSequence.from_table(values)
+            series = compose_moments(outer.at, [inner_table] * n, n, m, 3)
+            for i in all_indices(m, 3, include_zero=True):
+                poly = umfb(CompositionSpec(index=i, n=n, m=m, inner_mode="shared", outer=outer))
+                assert 0 not in poly._terms.values(), (i, n)
+                assert poly.substitute(inner=[inner]) == series[i], (i, n)
 
 
 def test_compose_generating_check_matches_substitution():

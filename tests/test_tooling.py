@@ -83,22 +83,30 @@ def test_public_names_resolve_once():
 
 
 def test_compute_child_loads_no_numeric_or_oracle_module():
-    """`python -m umfb.cli compute` imports only what the command uses."""
+    """`python -m umfb.cli compute` imports only what the command uses, in
+    the general, shared-inner and bell modes alike."""
     script = (
         "import runpy, sys\n"
-        "sys.argv = ['umfb', 'compute', '-i', '1,1']\n"
-        "try:\n"
-        "    runpy.run_module('umfb.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert not exc.code, exc.code\n"
+        "for mode in ('general', 'shared-inner', 'bell'):\n"
+        "    sys.argv = ['umfb', 'compute', '-i', '1,1', '--mode', mode]\n"
+        "    try:\n"
+        "        runpy.run_module('umfb.cli', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        assert not exc.code, exc.code\n"
         "print(sorted(name for name in sys.modules if name.startswith('umfb')))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    out, loaded = done.stdout.rsplit("\n", 2)[:2]
-    assert out == "f[0,1]*g2[1,1] + f[1,0]*g1[1,1] + f[0,2]*g2[0,1]*g2[1,0] + " \
-        "f[1,1]*g1[0,1]*g2[1,0] + f[1,1]*g1[1,0]*g2[0,1] + f[2,0]*g1[0,1]*g1[1,0]"
+    *out, loaded = done.stdout.splitlines()
+    assert out == [
+        "f[0,1]*g2[1,1] + f[1,0]*g1[1,1] + f[0,2]*g2[0,1]*g2[1,0] + "
+        "f[1,1]*g1[0,1]*g2[1,0] + f[1,1]*g1[1,0]*g2[0,1] + f[2,0]*g1[0,1]*g1[1,0]",
+        "f[0,1]*g1[1,1] + f[1,0]*g1[1,1] + f[0,2]*g1[0,1]*g1[1,0] + "
+        "2*f[1,1]*g1[0,1]*g1[1,0] + f[2,0]*g1[0,1]*g1[1,0]",
+        "g1[1,1]*x1 + g2[1,1]*x2 + g1[0,1]*g1[1,0]*x1^2 + g1[0,1]*g2[1,0]*x1*x2 + "
+        "g1[1,0]*g2[0,1]*x1*x2 + g2[0,1]*g2[1,0]*x2^2",
+    ]
     assert "umfb.fdbcore" in loaded
     assert "umfb.special" not in loaded and "umfb.oracle" not in loaded
