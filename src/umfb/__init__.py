@@ -8,16 +8,16 @@ the package, or one module of it, does not import the others."""
 from importlib import import_module
 
 _HOMES = {
-    "algebra": ("FormulaPoly", "relabel_shared"),
+    "algebra": ("FormulaPoly",),
     "errors": ("UmfbError", "PartsMismatch", "ZeroIndex", "DimensionMismatch",
                "MissingValue", "SingularSigma", "TermCapExceeded"),
-    "fdbcore": ("CompositionSpec", "MomentSequence", "dot_power_expansion", "umfb",
+    "fdbcore": ("CompositionSpec", "MomentTable", "dot_power_expansion", "umfb",
                 "generalized_bell", "predict_term_count"),
     "multiindex": ("Partition", "multi_factorial", "multinomial", "compositions_into",
                    "partitions", "count_partitions"),
     "oracle": ("DerivativeState", "differentiate_once", "chain_rule_derivative",
-               "equivalence_check"),
-    "special": ("MomentTable", "SymmetricMatrix", "moments_to_cumulants",
+               "relabel_shared", "equivalence_check"),
+    "special": ("SymmetricMatrix", "moments_to_cumulants",
                 "cumulants_to_moments", "compound_poisson_moments",
                 "laplace_derivative_sign", "reciprocal_series_moment", "hermite",
                 "hermite_via_bell"),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import DimensionMismatch, MissingValue
 
@@ -45,13 +45,6 @@ def var_symbol(j: int) -> Symbol:
     if j < 1:
         raise ValueError("variable ids start at 1")
     return ("x", j)
-
-
-def canonical_factors(factors: Mapping[Symbol, int]) -> Factors:
-    items = tuple(sorted((s, e) for s, e in factors.items() if e))
-    if any(e < 0 for _, e in items):
-        raise ValueError("factor exponents must be positive")
-    return items
 
 
 def merge_factors(pairs: Iterable[tuple[Symbol, int]]) -> Factors:
@@ -89,28 +82,17 @@ class FormulaPoly:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, m: int) -> "FormulaPoly":
-        return cls(n, m)
-
-    @classmethod
-    def one(cls, n: int, m: int) -> "FormulaPoly":
-        return cls(n, m, {(): 1})
-
-    @classmethod
     def from_terms(cls, n: int, m: int, terms: Iterable[tuple]) -> "FormulaPoly":
-        """Build from (coefficient, factor-mapping) pairs, collecting like terms."""
+        """Build from (coefficient, factors) pairs, collecting like terms; the
+        factors are a canonical tuple or a {symbol: exponent} mapping."""
         acc: dict[Factors, int | Fraction] = {}
         for coeff, factors in terms:
             if not isinstance(factors, tuple):
-                factors = canonical_factors(factors)
+                factors = tuple(sorted((s, e) for s, e in factors.items() if e))
+                if any(e < 0 for _, e in factors):
+                    raise ValueError("factor exponents must be positive")
             acc[factors] = acc.get(factors, 0) + coeff
         return cls(n, m, {k: c for k, c in acc.items() if c != 0})
-
-    @classmethod
-    def monomial(cls, n: int, m: int, coeff, factors: Mapping[Symbol, int]) -> "FormulaPoly":
-        if coeff == 0:
-            return cls.zero(n, m)
-        return cls(n, m, {canonical_factors(factors): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -181,7 +163,7 @@ class FormulaPoly:
 
     def scale(self, c) -> "FormulaPoly":
         if c == 0:
-            return FormulaPoly.zero(self.n, self.m)
+            return FormulaPoly(self.n, self.m)
         return FormulaPoly(self.n, self.m, {k: c * v for k, v in self._terms.items()})
 
     # -- substitution ------------------------------------------------------
@@ -262,17 +244,6 @@ class FormulaPoly:
         return cls.from_terms(data["n"], data["m"], terms)
 
 
-def relabel_shared(poly: FormulaPoly) -> FormulaPoly:
-    """Collapse all inner function ids to 1 and re-collect like terms."""
-    acc: dict[Factors, int | Fraction] = {}
-    for factors, coeff in poly._terms.items():
-        key = merge_factors(
-            (("g", 1, sym[2]) if sym[0] == "g" else sym, exp) for sym, exp in factors
-        )
-        add_term(acc, key, coeff)
-    return FormulaPoly(poly.n, poly.m, acc)
-
-
 def _lookup_value(lookup, key):
     if hasattr(lookup, "at"):
         return lookup.at(key)
@@ -288,9 +259,11 @@ _JOINERS = {"text": "*", "latex": " ", "json": ","}  # between factor fragments
 
 
 def _coeff_str(coeff) -> str:
-    if isinstance(coeff, Fraction) and coeff.denominator != 1:
-        return f"{coeff.numerator}/{coeff.denominator}"
-    return str(int(coeff))
+    """An exact coefficient as an integer or "p/q"; a float as its exact rational."""
+    if type(coeff) is int:
+        return str(coeff)
+    v = Fraction(coeff)
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def _render_factor(factor: tuple, fmt: str) -> str:

@@ -13,8 +13,7 @@ from fractions import Fraction
 from itertools import islice, product
 
 from .errors import TermCapExceeded, UmfbError
-from .fdbcore import (CompositionSpec, MomentSequence, _check_cap, _chunks, generalized_bell,
-                      umfb)
+from .fdbcore import CompositionSpec, MomentTable, _check_cap, _chunks, generalized_bell, umfb
 from .multiindex import as_index, count_partitions, order, partitions
 
 # `special` and `oracle` load only in the commands that use them: a faster start.
@@ -168,9 +167,9 @@ def _dispatch(args, out, err) -> int:
         value = special.cumulants_to_moments(_load_table(args.table), args.index)
     elif cmd == "poisson":
         if args.alpha == "unity":
-            alpha = MomentSequence.unity()
+            alpha = MomentTable.unity()
         else:
-            alpha = MomentSequence.from_values(_parse_vector(args.alpha))
+            alpha = MomentTable.from_values(_parse_vector(args.alpha))
         value = special.compound_poisson_moments(alpha, _load_table(args.table), args.index)
     else:  # hermite; argparse admits no other command
         sigma = special.SymmetricMatrix(tuple(map(_parse_vector, args.sigma.split(";"))))
@@ -307,8 +306,6 @@ def _cmd_bench(args, out, err) -> int:
 
 
 def _load_table(path):
-    from .special import MomentTable
-
     with open(path) as fh:
         text = fh.read()
     try:

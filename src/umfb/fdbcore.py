@@ -11,8 +11,9 @@ f(g, ..., g) = h(g) with h^(d) = sum over |l| = d of d!/l! f[l].
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -20,8 +21,8 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
-from .algebra import _JOINERS, FormulaPoly, _document, _json_body, _Texts
-from .errors import MissingValue, TermCapExceeded
+from .algebra import _JOINERS, FormulaPoly, _coeff_str, _document, _json_body, _Texts
+from .errors import DimensionMismatch, MissingValue, TermCapExceeded
 from .multiindex import (Index, Partition, as_index, compositions_into, count_partitions,
                          multi_factorial, multinomial, order, partitions)
 
@@ -30,26 +31,37 @@ TERM_CAP_ENV = "UMFB_TERM_CAP"
 
 
 @dataclass(frozen=True)
-class MomentSequence:
-    """A moment lookup a_k (integer k) or a_i (multi-index i), with a_0 = 1:
-    a_k = 1 for every k (``values`` None), or a read-only table of explicit
-    values, univariate or multi-index keyed."""
+class MomentTable:
+    """Exact moments (or cumulants) a_i over n-indices i, with a_0 = 1: a
+    read-only table of explicit values, complete up to total order K, or
+    a_i = 1 at every index of any length (``values`` None; `unity`, n = 1).
 
+    Because ``values`` is read-only, the partial Bell rows the table routes
+    memoise on the table (``_bell_rows``) cannot go stale."""
+
+    n: int
     values: Mapping | None = None
+    _bell_rows: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"table dimension n={self.n!r} is not a positive integer")
+        if self.values is not None:
+            values = {as_index(k): v for k, v in self.values.items()}
+            for k in values:
+                if len(k) != self.n:
+                    raise DimensionMismatch(f"index {k} has length != n={self.n}")
+            object.__setattr__(self, "values", MappingProxyType(values))
+        object.__setattr__(self, "_bell_rows", {(0,) * self.n: [1]})
 
     @classmethod
-    def unity(cls) -> "MomentSequence":
-        return cls()
+    def unity(cls) -> "MomentTable":
+        return cls(1)
 
     @classmethod
-    def from_values(cls, values) -> "MomentSequence":
+    def from_values(cls, values) -> "MomentTable":
         """Univariate table a_1..a_K (a_0 is implicitly 1)."""
-        return cls.from_table({(k + 1,): v for k, v in enumerate(values)})
-
-    @classmethod
-    def from_table(cls, table) -> "MomentSequence":
-        """Multi-index keyed table; the zero index defaults to 1."""
-        return cls(MappingProxyType({tuple(k): Fraction(v) for k, v in table.items()}))
+        return cls(1, {(k + 1,): Fraction(v) for k, v in enumerate(values)})
 
     def at(self, k):
         """Value at k; k may be an int or a multi-index."""
@@ -59,7 +71,27 @@ class MomentSequence:
         try:
             return self.values[idx]
         except KeyError:
-            raise MissingValue(f"moment sequence has no value at {idx}") from None
+            raise MissingValue(f"moment table has no value at {idx}") from None
+
+    def max_order(self) -> int:
+        if self.values is None:
+            raise ValueError("a unity table has no highest order")
+        return max((order(k) for k in self.values), default=0)
+
+    def to_json(self) -> str:
+        top = self.max_order()
+        items = [{"index": list(k), "value": _coeff_str(v)} for k, v in sorted(self.values.items())]
+        return json.dumps({"n": self.n, "K": top, "values": items}, separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str) -> "MomentTable":
+        try:
+            data = json.loads(text)
+            n = data["n"]
+            values = {tuple(e["index"]): Fraction(e["value"]) for e in data["values"]}
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed moment table ({type(exc).__name__}: {exc})") from None
+        return cls(n, values)
 
 
 @dataclass(frozen=True)
@@ -76,7 +108,7 @@ class CompositionSpec:
     n: int
     m: int
     inner_mode: str = "distinct"
-    outer: MomentSequence | None = None
+    outer: MomentTable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "index", as_index(self.index))
@@ -118,7 +150,7 @@ def _check_cap(index: Index, n: int, columns=None):
         )
 
 
-def dot_power_expansion(index: Index, outer: MomentSequence | None = None) -> FormulaPoly:
+def dot_power_expansion(index: Index, outer: MomentTable | None = None) -> FormulaPoly:
     """Expand one composite power over the partitions of ``index``: the n = 1
     case of `umfb`.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FormulaPoly, relabel_shared
+from .algebra import FormulaPoly, add_term, merge_factors
 from .errors import DimensionMismatch
 from .fdbcore import CompositionSpec, _check_cap
 from .multiindex import Index, as_index
@@ -25,7 +25,7 @@ class DerivativeState:
 
     @classmethod
     def initial(cls, n: int, m: int) -> "DerivativeState":
-        start = FormulaPoly.monomial(n, m, 1, {("f", (0,) * n): 1})
+        start = FormulaPoly(n, m, {((("f", (0,) * n), 1),): 1})
         return cls(poly=start, applied=(0,) * m)
 
 
@@ -98,6 +98,17 @@ def chain_rule_derivative(spec: CompositionSpec) -> FormulaPoly:
     if spec.inner_mode == "shared":
         poly = relabel_shared(poly)
     return poly
+
+
+def relabel_shared(poly: FormulaPoly) -> FormulaPoly:
+    """Collapse all inner function ids to 1 and re-collect like terms."""
+    acc: dict = {}
+    for factors, coeff in poly._terms.items():
+        key = merge_factors(
+            (("g", 1, sym[2]) if sym[0] == "g" else sym, exp) for sym, exp in factors
+        )
+        add_term(acc, key, coeff)
+    return FormulaPoly(poly.n, poly.m, acc)
 
 
 def equivalence_check(p: FormulaPoly, q: FormulaPoly):

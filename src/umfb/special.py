@@ -11,71 +11,19 @@ partition enumeration (`_partition_sum`) as an independent route.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
-from types import MappingProxyType
 
-from .errors import DimensionMismatch, MissingValue, SingularSigma
-from .fdbcore import MomentSequence, _check_cap
+from .errors import DimensionMismatch, SingularSigma
+from .fdbcore import MomentTable, _check_cap
 from .multiindex import Index, as_index, order, partitions
 
 FLOAT_PIVOT_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Exact moments (or cumulants) of an n-dimensional sequence, complete up
-    to total order K; the zero index is implicitly 1.
-
-    ``values`` is a read-only mapping, so the partial Bell rows the table
-    routes memoise on the table (``_bell_rows``) cannot go stale."""
-
-    n: int
-    values: dict
-    _bell_rows: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        values = {as_index(k): v for k, v in self.values.items()}
-        for k in values:
-            if len(k) != self.n:
-                raise DimensionMismatch(f"index {k} has length != n={self.n}")
-        object.__setattr__(self, "values", MappingProxyType(values))
-        object.__setattr__(self, "_bell_rows", {(0,) * self.n: [1]})
-
-    def value(self, i: Index):
-        i = as_index(i)
-        if order(i) == 0:
-            return Fraction(1)
-        try:
-            return self.values[i]
-        except KeyError:
-            raise MissingValue(f"moment table has no value at {i}") from None
-
-    def max_order(self) -> int:
-        return max((order(k) for k in self.values), default=0)
-
-    def to_json(self) -> str:
-        items = [
-            {"index": list(k), "value": _rat_str(v)}
-            for k, v in sorted(self.values.items())
-        ]
-        return json.dumps(
-            {"n": self.n, "K": self.max_order(), "values": items},
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MomentTable":
-        try:
-            data = json.loads(text)
-            n = data["n"]
-            values = {tuple(e["index"]): Fraction(e["value"]) for e in data["values"]}
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed moment table ({type(exc).__name__}: {exc})") from None
-        return cls(n=n, values=values)
+# perfbench/workloads.py builds its Poisson rates as MomentSequence.from_values.
+MomentSequence = MomentTable
 
 
 def _partition_sum(i: Index, outer_weight, column_value, total=0):
@@ -133,14 +81,17 @@ def _bell_row(memo: dict, i: Index, column_value) -> list:
 
 
 def _table_sum(table: MomentTable, i: Index, outer_weight):
-    """The Bell sum over table values; exact, with the zero index at 1.
+    """The Bell sum over table values; exact, with the zero index at 1.  An
+    index whose length is not the table's n raises DimensionMismatch.
     Every weight w(1..|i|) is read, and every value below i: a gap raises
     MissingValue even where the terms it enters vanish."""
     i = as_index(i)
+    if len(i) != table.n:
+        raise DimensionMismatch(f"index {i} has length {len(i)}, but the table has n={table.n}")
     if order(i) == 0:
         return Fraction(1)
     weights = [outer_weight(k) for k in range(1, order(i) + 1)]
-    row = _bell_row(table._bell_rows, i, table.value)
+    row = _bell_row(table._bell_rows, i, table.at)
     return sum((w * b for w, b in zip(weights, row[1:]) if w and b), Fraction(0))
 
 
@@ -154,7 +105,7 @@ def cumulants_to_moments(cum: MomentTable, i: Index):
     return _table_sum(cum, i, lambda k: 1)
 
 
-def compound_poisson_moments(alpha: MomentSequence, mu: MomentTable, i: Index):
+def compound_poisson_moments(alpha: MomentTable, mu: MomentTable, i: Index):
     """Moment at i of a random sum of iid vectors with moments ``mu``, the
     summand count being Poisson with randomized rate of moments ``alpha``."""
     return _table_sum(mu, i, alpha.at)
@@ -164,7 +115,7 @@ def laplace_derivative_sign(mom: MomentTable, i: Index):
     """Coefficient at i of the moment generating function at negated
     arguments: (-1)^|i| times the moment."""
     i = as_index(i)
-    return (-1) ** order(i) * mom.value(i)
+    return (-1) ** order(i) * mom.at(i) if any(i) else Fraction(1)
 
 
 def reciprocal_series_moment(mom: MomentTable, i: Index):
@@ -332,10 +283,3 @@ def _check_dimensions(i: Index, sigma: SymmetricMatrix, x):
         raise DimensionMismatch(f"index {i} vs matrix dimension {n}")
     if len(x) != n:
         raise DimensionMismatch(f"point of length {len(x)} vs matrix dimension {n}")
-
-
-def _rat_str(v) -> str:
-    v = Fraction(v)
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"

@@ -50,7 +50,7 @@ def test_01_second_mixed_derivative_golden_and_fast():
     g1 = lambda idx: inner_symbol(1, idx)
     g2 = lambda idx: inner_symbol(2, idx)
     f = lambda idx: outer_symbol(idx)
-    mono = lambda c, fs: FormulaPoly.monomial(2, 2, c, fs)
+    mono = lambda c, fs: FormulaPoly.from_terms(2, 2, [(c, fs)])
     expected = (
         mono(1, {f((1, 0)): 1, g1((1, 1)): 1})
         + mono(1, {f((2, 0)): 1, g1((1, 0)): 1, g1((0, 1)): 1})
@@ -181,7 +181,7 @@ def test_06_cumulant_round_trip_and_identities():
             n=n, values={i: moments_to_cumulants(mom, i) for i in all_indices(n, 4)}
         )
         for i in all_indices(n, 4):
-            assert cumulants_to_moments(cum, i) == mom.value(i), (case, i)
+            assert cumulants_to_moments(cum, i) == mom.at(i), (case, i)
         trips += 1
 
     # independence: product-form moments have vanishing mixed cumulants
@@ -201,7 +201,7 @@ def test_06_cumulant_round_trip_and_identities():
         n=2,
         values={
             i: sum(
-                prod_binom(i, k) * m1.value(k) * m2.value(sub(i, k))
+                prod_binom(i, k) * m1.at(k) * m2.at(sub(i, k))
                 for k in subindices(i)
             )
             for i in all_indices(2, 4)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,16 @@ from umfb.algebra import (
     FormulaPoly,
     inner_symbol,
     outer_symbol,
-    relabel_shared,
     var_symbol,
 )
 from umfb.errors import DimensionMismatch, MissingValue
+from umfb.oracle import relabel_shared
 
 from helpers import reference_render
 
 
 def mono(n, m, coeff, factors):
-    return FormulaPoly.monomial(n, m, coeff, factors)
+    return FormulaPoly.from_terms(n, m, [(coeff, factors)])
 
 
 F10 = outer_symbol((1, 0))
@@ -41,9 +42,9 @@ def test_symbol_validation():
 def test_add_collects_like_terms():
     p = mono(1, 2, 1, {F10: 1, G11: 1})
     assert (p + p) == mono(1, 2, 2, {F10: 1, G11: 1})
-    assert p + FormulaPoly.zero(1, 2) == p
+    assert p + FormulaPoly(1, 2) == p
     assert len(p - p) == 0
-    assert (p - p) == FormulaPoly.zero(1, 2)
+    assert (p - p) == FormulaPoly(1, 2)
 
 
 def test_mul_distributes():
@@ -62,9 +63,9 @@ def test_mul_distributes():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        FormulaPoly.one(1, 2) + FormulaPoly.one(2, 2)
+        FormulaPoly(1, 2, {(): 1}) + FormulaPoly(2, 2, {(): 1})
     with pytest.raises(DimensionMismatch):
-        FormulaPoly.one(1, 2) * FormulaPoly.one(1, 1)
+        FormulaPoly(1, 2, {(): 1}) * FormulaPoly(1, 1, {(): 1})
 
 
 def test_substitute_numeric():
@@ -85,7 +86,7 @@ def test_substitute_partial_and_missing():
 
 
 def test_render_text():
-    assert FormulaPoly.zero(2, 2).render("text") == "0"
+    assert FormulaPoly(2, 2).render("text") == "0"
     assert mono(2, 2, 2, {outer_symbol((1, 0)): 1}).render("text") == "2*f[1,0]"
     p = mono(1, 2, 1, {G10: 2}) + mono(1, 2, -3, {G11: 1})
     assert p.render("text") == "-3*g1[1,1] + g1[1,0]^2"
@@ -101,12 +102,22 @@ def test_json_round_trip():
     p = (
         mono(2, 2, 2, {outer_symbol((1, 1)): 1, G10: 1, inner_symbol(2, (0, 1)): 2})
         + mono(2, 2, Fraction(-1, 3), {var_symbol(1): 2})
-        + FormulaPoly.one(2, 2)
+        + FormulaPoly(2, 2, {(): 1})
     )
     back = FormulaPoly.from_json(p.to_json())
     assert back == p and back.to_json() == p.to_json()
     # integer coefficients come back as ints, the others as Fractions
     assert sorted(type(c).__name__ for c, _ in back.terms()) == ["Fraction", "int", "int"]
+
+
+def test_json_writes_float_coefficients_as_exact_rationals():
+    halved = mono(1, 2, 1, {F1: 1, G10: 1}).substitute(inner=[lambda k: 0.5])
+    p = halved + mono(1, 2, 0.1, {G01: 1})
+    tenth = Fraction(0.1)
+    assert p.render("text") == "0.5*f[1] + 0.1*g1[0,1]"
+    assert [t["coeff"] for t in json.loads(p.to_json())["terms"]] == [
+        "1/2", f"{tenth.numerator}/{tenth.denominator}"]
+    assert FormulaPoly.from_json(p.to_json()) == p
 
 
 def test_relabel_shared_merges():
@@ -174,12 +185,12 @@ def assert_renders_like_reference(p):
 def test_render_matches_reference_on_arithmetic():
     x1, x2 = var_symbol(1), var_symbol(2)
     a = mono(2, 2, Fraction(-3, 4), {F10: 1, G10: 2}) + mono(2, 2, 5, {x1: 1, G11: 1})
-    b = mono(2, 2, -1, {x2: 3, G01: 1}) + FormulaPoly.one(2, 2).scale(Fraction(7, 2))
+    b = mono(2, 2, -1, {x2: 3, G01: 1}) + FormulaPoly(2, 2, {(): 1}).scale(Fraction(7, 2))
     cases = [
-        FormulaPoly.zero(2, 2),
-        FormulaPoly.one(2, 2),
-        FormulaPoly.one(2, 2).scale(-2),
-        FormulaPoly.one(2, 2).scale(Fraction(-1, 3)),
+        FormulaPoly(2, 2),
+        FormulaPoly(2, 2, {(): 1}),
+        FormulaPoly(2, 2, {(): 1}).scale(-2),
+        FormulaPoly(2, 2, {(): 1}).scale(Fraction(-1, 3)),
         mono(2, 2, Fraction(4, 2), {x1: 1}),
         a, b, a - b, a * b, b * b, a.scale(Fraction(2, 5)), (a + b) * (a - b),
         a - a,

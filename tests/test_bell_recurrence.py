@@ -14,7 +14,6 @@ from random import Random
 
 import pytest
 
-from umfb.fdbcore import MomentSequence
 from umfb.special import (
     MomentTable,
     SymmetricMatrix,
@@ -70,7 +69,7 @@ def test_table_route_matches_partition_sum(route, m):
     }
     for name, entries in orders.items():
         table = MomentTable(n=m, values=values)  # a fresh memo per order
-        alpha_seq = MomentSequence.from_values(alpha)
+        alpha_seq = MomentTable.from_values(alpha)
         for i in entries:
             got = call(table, alpha_seq, i)
             assert got == want[i] and type(got) is Fraction, (name, i, got, want[i])

@@ -259,8 +259,14 @@ def test_hermite_missing_table_is_usage_error(tmp_path):
         '{"values": [{"index": [1, 0], "value": "1"}]}',
         '{"n": 2, "values": [1, 2]}',
         '[{"n": 2, "values": []}]',
+        '{"n": "x", "values": []}',
+        '{"n": 1.5, "values": []}',
+        '{"n": 0, "values": []}',
+        '{"n": -1, "values": []}',
+        '{"n": true, "values": []}',
     ],
-    ids=["missing-values", "missing-n", "non-object-entries", "top-level-list"],
+    ids=["missing-values", "missing-n", "non-object-entries", "top-level-list",
+         "n-string", "n-float", "n-zero", "n-negative", "n-bool"],
 )
 def test_malformed_table_is_usage_error(tmp_path, text):
     path = tmp_path / "bad.json"
@@ -268,6 +274,16 @@ def test_malformed_table_is_usage_error(tmp_path, text):
     code, out, err = run(["cumulants", "--table", str(path), "-i", "1,1"])
     assert code == 2 and out == ""
     assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["cumulants", "moments", "poisson"])
+@pytest.mark.parametrize("index", ["1", "0,0,0"])
+def test_table_index_of_another_length_is_usage_error(tmp_path, command, index):
+    table = _table_file(tmp_path, "t.json", 2, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
+    alpha = ["--alpha", "unity"] if command == "poisson" else []
+    code, out, err = run([command, *alpha, "--table", table, "-i", index])
+    assert code == 2 and out == ""
+    assert "n=2" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

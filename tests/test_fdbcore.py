@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umfb.algebra import FormulaPoly, inner_symbol, outer_symbol, relabel_shared, var_symbol
+from umfb.algebra import FormulaPoly, inner_symbol, outer_symbol, var_symbol
 from umfb.errors import MissingValue, TermCapExceeded
 from umfb.fdbcore import (
     CompositionSpec,
-    MomentSequence,
+    MomentTable,
     _check_cap,
     dot_power_expansion,
     generalized_bell,
@@ -18,7 +18,7 @@ from umfb.fdbcore import (
     umfb,
 )
 from umfb.multiindex import count_partitions, order
-from umfb.oracle import chain_rule_derivative
+from umfb.oracle import chain_rule_derivative, relabel_shared
 
 from helpers import (
     all_indices,
@@ -32,7 +32,7 @@ from helpers import (
 
 
 def mono(n, m, coeff, factors):
-    return FormulaPoly.monomial(n, m, coeff, factors)
+    return FormulaPoly.from_terms(n, m, [(coeff, factors)])
 
 
 def appendix_example():
@@ -65,7 +65,7 @@ def test_dot_power_symbolic():
 
 def test_dot_power_unity_value():
     # frozen from the labelled set-partition oracle: sum of weights = Bell(3)
-    p = dot_power_expansion((2, 1), outer=MomentSequence.unity())
+    p = dot_power_expansion((2, 1), outer=MomentTable.unity())
     assert p.substitute(inner=[lambda k: 1]) == 5
 
 
@@ -124,7 +124,7 @@ def test_generalized_bell_matches_umfb_appendix():
 def test_outer_identity_collapse():
     # outer moments of the identity series: a_1 = 1, higher zero
     for i in [(2, 1), (3,), (1, 1, 1)]:
-        outer = MomentSequence.from_values([1] + [0] * (order(i) - 1))
+        outer = MomentTable.from_values([1] + [0] * (order(i) - 1))
         got = umfb(CompositionSpec(index=i, n=1, m=len(i), outer=outer))
         assert got == mono(1, len(i), 1, {inner_symbol(1, i): 1})
 
@@ -183,7 +183,7 @@ def test_assembled_keys_are_sorted_and_distinct_products_stay_apart():
                 products = term_count_by_series(i, n)
                 for poly in (
                     umfb(CompositionSpec(index=i, n=n, m=m)),
-                    umfb(CompositionSpec(index=i, n=n, m=m, outer=MomentSequence.unity())),
+                    umfb(CompositionSpec(index=i, n=n, m=m, outer=MomentTable.unity())),
                     generalized_bell(i, n, m),
                 ):
                     assert all(k == tuple(sorted(k)) for k in poly._terms), (i, n)
@@ -301,7 +301,7 @@ def test_stream_keys_strictly_increase_in_terms_order(index, n):
             assert generalized_bell(i, n, m)._terms == outer_replaced(expected)
     rng = Random(repr((i, n)))
     table = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for k in all_indices(n, sum(i))}
-    for outer in (MomentSequence.unity(), MomentSequence.from_table(table)):
+    for outer in (MomentTable.unity(), MomentTable(n, table)):
         poly = umfb(CompositionSpec(index=i, n=n, m=m, inner_mode="shared", outer=outer))
         assert poly._terms == outer_replaced(expected, outer.at), (i, n)
         keys = [(sum(e for _, e in k), k) for k in poly._terms]
@@ -316,13 +316,13 @@ def test_shared_numeric_outer_weights_match_series_composition():
     rng = Random(22)
     for m in (1, 2, 3):
         inner_table = random_moment_values(rng, m, 3)
-        inner = MomentSequence.from_table(inner_table)
+        inner = MomentTable(m, inner_table)
         for n in (1, 2, 3):
             values = {k: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 4))
                       for k in all_indices(n, 3)}
             last = (0,) * (n - 1) + (1,)
             values[last] -= sum(v for k, v in values.items() if sum(k) == 1)
-            outer = MomentSequence.from_table(values)
+            outer = MomentTable(n, values)
             series = compose_moments(outer.at, [inner_table] * n, n, m, 3)
             for i in all_indices(m, 3, include_zero=True):
                 poly = umfb(CompositionSpec(index=i, n=n, m=m, inner_mode="shared", outer=outer))
@@ -341,11 +341,11 @@ def test_compose_generating_check_matches_substitution():
     ]
     for i, n, m, mode in cases:
         cap = order(i)
-        outer = MomentSequence.from_table(
-            {k: Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for k in all_indices(n, cap)}
+        outer = MomentTable(
+            n, {k: Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for k in all_indices(n, cap)}
         )
         inner_tables = [random_moment_values(rng, m, cap) for _ in range(n)]
-        inner_seqs = [MomentSequence.from_table(t) for t in inner_tables]
+        inner_seqs = [MomentTable(m, t) for t in inner_tables]
         spec = CompositionSpec(index=i, n=n, m=m, inner_mode=mode, outer=outer)
         table = compose_moments(
             outer.at, [inner_tables[0]] * n if mode == "shared" else inner_tables, n, m, cap
@@ -360,18 +360,18 @@ def test_compose_generating_check_matches_substitution():
 
 def test_compose_generating_check_exp_identity():
     # outer exp-series with identity inner: coefficients all 1
-    outer = MomentSequence.unity()
+    outer = MomentTable.unity()
     inner = {(1,): 1, (2,): 0, (3,): 0}
     table = compose_moments(outer.at, [inner], 1, 1, 3)
     assert [table[(k,)] for k in range(4)] == [1, 1, 1, 1]
 
 
 def test_moment_sequence_kinds():
-    assert MomentSequence.unity().at(0) == 1
-    assert MomentSequence.unity().at((2, 1)) == 1
-    seq = MomentSequence.from_values([2, 3])
+    assert MomentTable.unity().at(0) == 1
+    assert MomentTable.unity().at((2, 1)) == 1
+    seq = MomentTable.from_values([2, 3])
     assert seq.at(0) == 1 and seq.at(2) == 3
     with pytest.raises(MissingValue):
         seq.at(3)
-    table = MomentSequence.from_table({(1, 0): Fraction(1, 2), (0, 0): 5})
+    table = MomentTable(2, {(1, 0): Fraction(1, 2), (0, 0): 5})
     assert table.at((0, 0)) == 1 and table.at((1, 0)) == Fraction(1, 2)

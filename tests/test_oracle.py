@@ -12,7 +12,7 @@ from umfb.oracle import (
 
 
 def mono(n, m, coeff, factors):
-    return FormulaPoly.monomial(n, m, coeff, factors)
+    return FormulaPoly.from_terms(n, m, [(coeff, factors)])
 
 
 def test_initial_state():
@@ -59,7 +59,7 @@ def test_differentiate_is_linear():
         1, 2, 3, {inner_symbol(1, (1, 0)): 2}
     )
     whole = differentiate_once(DerivativeState(poly=p, applied=(0, 0)), 1).poly
-    parts = FormulaPoly.zero(1, 2)
+    parts = FormulaPoly(1, 2)
     for coeff, factors in p.terms():
         piece = FormulaPoly.from_terms(1, 2, [(coeff, dict(factors))])
         parts = parts + differentiate_once(
@@ -91,4 +91,4 @@ def test_equivalence_check_positive_and_negative():
     assert not ok
     assert "f[1,0]" in report
     with pytest.raises(DimensionMismatch):
-        equivalence_check(p, FormulaPoly.zero(1, 2))
+        equivalence_check(p, FormulaPoly(1, 2))

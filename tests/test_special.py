@@ -5,7 +5,6 @@ from random import Random
 import pytest
 
 from umfb.errors import DimensionMismatch, MissingValue, SingularSigma
-from umfb.fdbcore import MomentSequence
 from umfb.special import (
     MomentTable,
     SymmetricMatrix,
@@ -36,11 +35,11 @@ from helpers import (
 
 def test_moment_table_basics():
     t = MomentTable(n=2, values={(1, 0): 2, (0, 1): Fraction(1, 3)})
-    assert t.value((0, 0)) == 1
-    assert t.value((1, 0)) == 2
+    assert t.at((0, 0)) == 1
+    assert t.at((1, 0)) == 2
     assert t.max_order() == 1
     with pytest.raises(MissingValue):
-        t.value((2, 0))
+        t.at((2, 0))
     with pytest.raises(DimensionMismatch):
         MomentTable(n=2, values={(1,): 1})
 
@@ -63,7 +62,7 @@ def test_moment_table_values_are_read_only():
     with pytest.raises(FrozenInstanceError):
         t.values = {}
     values[(1, 0)] = 7  # the table keeps its own copy
-    assert t.value((1, 0)) == Fraction(-2, 3)
+    assert t.at((1, 0)) == Fraction(-2, 3)
     assert cumulants_to_moments(t, (1, 1)) == 5 + Fraction(-2, 3) * 4
     back = MomentTable.from_json(t.to_json())
     assert back == t and back.values == t.values and back.to_json() == t.to_json()
@@ -76,7 +75,7 @@ def test_gap_below_index_raises_on_every_table_route():
     # value at (1,0) and, for the Poisson route, a zero weight at length 2;
     # every table route still reads the whole box below the index.
     values = {(1, 0): Fraction(0), (0, 1): 1, (2, 0): 2, (2, 1): 3}
-    alpha = MomentSequence.from_values([1, 0, 1])
+    alpha = MomentTable.from_values([1, 0, 1])
     routes = (
         moments_to_cumulants,
         cumulants_to_moments,
@@ -86,6 +85,20 @@ def test_gap_below_index_raises_on_every_table_route():
     for route in routes:
         with pytest.raises(MissingValue, match=r"\(1, 1\)"):
             route(MomentTable(n=2, values=values), (2, 1))
+
+
+def test_index_of_another_length_raises_on_every_table_route():
+    t = MomentTable(n=2, values={(1, 0): 1, (0, 1): 2, (1, 1): 3})
+    routes = (
+        moments_to_cumulants,
+        cumulants_to_moments,
+        reciprocal_series_moment,
+        lambda t, i: compound_poisson_moments(MomentTable.unity(), t, i),
+    )
+    for route in routes:
+        for i in ((1,), (0,), (0, 0, 0), (1, 1, 0)):
+            with pytest.raises(DimensionMismatch, match=rf"length {len(i)}\b.*n=2"):
+                route(t, i)
 
 
 # -- cumulants --------------------------------------------------------------
@@ -130,7 +143,7 @@ def test_round_trip_moments_cumulants(seed):
         n=n, values={i: moments_to_cumulants(mom, i) for i in all_indices(n, 4)}
     )
     for i in all_indices(n, 4):
-        assert cumulants_to_moments(cum, i) == mom.value(i), i
+        assert cumulants_to_moments(cum, i) == mom.at(i), i
 
 
 def test_log_exp_series_agree_with_conversions():
@@ -145,7 +158,7 @@ def test_log_exp_series_agree_with_conversions():
     cum = {i: moments_to_cumulants(mom, i) for i in all_indices(2, 3)}
     expd = s_exp(mgf_minus_one(cum, 3), 3)
     for i in all_indices(2, 3):
-        assert series_moment(expd, i) == mom.value(i), i
+        assert series_moment(expd, i) == mom.at(i), i
 
 
 # -- compound Poisson -------------------------------------------------------
@@ -153,12 +166,12 @@ def test_log_exp_series_agree_with_conversions():
 
 def test_compound_poisson_unit_rate_unit_moments():
     mu = MomentTable(n=2, values={k: Fraction(1) for k in all_indices(2, 3)})
-    got = compound_poisson_moments(MomentSequence.unity(), mu, (1, 1))
+    got = compound_poisson_moments(MomentTable.unity(), mu, (1, 1))
     assert got == 2  # m11 + m10*m01 with every moment equal to 1
     # univariate all-unity summands give the Bell numbers
     mu1 = MomentTable(n=1, values={(k,): Fraction(1) for k in range(1, 7)})
     for d in range(1, 7):
-        assert compound_poisson_moments(MomentSequence.unity(), mu1, (d,)) == bell_number(d)
+        assert compound_poisson_moments(MomentTable.unity(), mu1, (d,)) == bell_number(d)
 
 
 def test_compound_poisson_matches_exponentiated_rate_series():
@@ -166,7 +179,7 @@ def test_compound_poisson_matches_exponentiated_rate_series():
     # the summand moment series; check against direct series composition
     rng = Random(17)
     mu = MomentTable(n=2, values=random_moment_values(rng, 2, 3))
-    alpha = MomentSequence.from_values(
+    alpha = MomentTable.from_values(
         [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
     )
     from helpers import s_compose_scalar
@@ -185,10 +198,10 @@ def test_compound_poisson_matches_exponentiated_rate_series():
 def test_compound_poisson_short_alpha_raises():
     # the order-1 values vanish, so B_{i,|i|} = 0, yet alpha at |i| is read
     mu = MomentTable(n=2, values={(1, 0): 0, (0, 1): 0, (2, 0): 1, (1, 1): 2, (0, 2): 3})
-    short = MomentSequence.from_values([Fraction(1, 2)])
+    short = MomentTable.from_values([Fraction(1, 2)])
     with pytest.raises(MissingValue):
         compound_poisson_moments(short, mu, (1, 1))
-    assert compound_poisson_moments(MomentSequence.unity(), mu, (1, 1)) == 2
+    assert compound_poisson_moments(MomentTable.unity(), mu, (1, 1)) == 2
 
 
 # -- Laplace signs ----------------------------------------------------------

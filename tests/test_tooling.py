@@ -80,6 +80,9 @@ def test_public_names_resolve_once():
 
     assert len(umfb.__all__) == len(set(umfb.__all__))
     assert [name for name in umfb.__all__ if not hasattr(umfb, name)] == []
+    # each name is defined in the module it is listed under, not re-exported
+    assert [name for name in umfb.__all__
+            if getattr(umfb, name).__module__ != f"umfb.{umfb._MODULE_OF[name]}"] == []
 
 
 def test_compute_child_loads_no_numeric_or_oracle_module():
