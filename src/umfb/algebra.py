@@ -15,8 +15,7 @@ then by the sorted factor sequence.
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from .errors import DimensionMismatch, MissingValue
@@ -224,10 +223,15 @@ class FormulaPoly:
             parts = [texts[factor] for factor in factors]
             return _json_factors(factors, parts) if fmt == "json" else joiner.join(parts)
 
-        return _document(self.n, self.m, fmt, ((c, body(f)) for c, f in self.terms()))
+        terms = self.terms()
+        batches = ([(body(f), c) for c, f in terms[s:s + _BATCH_TERMS]]
+                   for s in range(0, len(terms), _BATCH_TERMS))
+        return chain.from_iterable(_document(self.n, self.m, fmt, batches))
 
     @classmethod
     def from_json(cls, text: str) -> "FormulaPoly":
+        import json
+        from fractions import Fraction
         data = json.loads(text)
         terms = []
         for t in data["terms"]:
@@ -256,12 +260,14 @@ def _lookup_value(lookup, key):
 
 
 _JOINERS = {"text": "*", "latex": " ", "json": ","}  # between factor fragments
+_BATCH_TERMS = 2048  # terms formatted by one comprehension in `_document`
 
 
 def _coeff_str(coeff) -> str:
     """An exact coefficient as an integer or "p/q"; a float as its exact rational."""
     if type(coeff) is int:
         return str(coeff)
+    from fractions import Fraction
     v = Fraction(coeff)
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
@@ -269,22 +275,19 @@ def _coeff_str(coeff) -> str:
 def _render_factor(factor: tuple, fmt: str) -> str:
     """One factor in ``fmt``; for json, its fragment in "outer", "inner" or "vars"."""
     sym, exp = factor
+    idx = ",".join(map(str, sym[-1])) if sym[0] != "x" else ""
     if fmt == "json":
         if sym[0] == "f":
             if exp != 1:
                 raise ValueError("term has a non-simple outer factor")
-            obj = list(sym[1])
-        elif sym[0] == "g":
-            obj = {"fn": sym[1], "index": list(sym[2]), "pow": exp}
-        else:
-            obj = {"j": sym[1], "pow": exp}
-        return json.dumps(obj, separators=(",", ":"))
+            return f"[{idx}]"
+        if sym[0] == "g":
+            return f'{{"fn":{sym[1]},"index":[{idx}],"pow":{exp}}}'
+        return f'{{"j":{sym[1]},"pow":{exp}}}'
     star = fmt == "text"
     if sym[0] == "f":
-        body = "f[" + ",".join(map(str, sym[1])) + "]" if star else \
-            "f_{" + ",".join(map(str, sym[1])) + "}"
+        body = f"f[{idx}]" if star else f"f_{{{idx}}}"
     elif sym[0] == "g":
-        idx = ",".join(map(str, sym[2]))
         body = f"g{sym[1]}[{idx}]" if star else f"g{sym[1]}_{{{idx}}}"
     else:
         body = f"x{sym[1]}" if star else f"x_{{{sym[1]}}}"
@@ -305,13 +308,8 @@ class _Texts(dict):
         return text
 
 
-def _json_body(outer, inner: str, variables: str) -> str:
-    """A json term's members after "coeff", from formatted fragments."""
-    return f'"outer":{outer or "null"},"inner":[{inner}],"vars":[{variables}]'
-
-
 def _json_factors(factors: Factors, parts: list) -> str:
-    """`_json_body` of one term, its factors' fragments sorted by member."""
+    """A json term's members after "coeff", its factors' fragments sorted by member."""
     outer = None
     inner, variables = [], []
     for (sym, _), part in zip(factors, parts):
@@ -323,29 +321,28 @@ def _json_factors(factors: Factors, parts: list) -> str:
             inner.append(part)
         else:
             variables.append(part)
-    return _json_body(outer, ",".join(inner), ",".join(variables))
+    return f'"outer":{outer or "null"},"inner":[{",".join(inner)}],"vars":[{",".join(variables)}]'
 
 
-def _document(n: int, m: int, fmt: str, terms):
-    """The chunks of a rendering from its (coefficient, body) terms in order,
-    a body being the term's formatted factors (for json, its `_json_body`):
-    one chunk per term with its separator, sign and coefficient, and json's
-    envelope, or "0" for a text without terms."""
-    as_json = fmt == "json"
-    if as_json:
-        yield f'{{"n":{json.dumps(n)},"m":{json.dumps(m)},"terms":['
-    first = True
-    for coeff, body in terms:
-        if as_json:
-            yield f'{"" if first else ","}{{"coeff":"{_coeff_str(coeff)}",{body}}}'
-        else:
-            sign = ("-" if first else " - ") if coeff < 0 else ("" if first else " + ")
-            mag = -coeff if coeff < 0 else coeff
-            if mag != 1 or not body:
-                body = str(mag) + _JOINERS[fmt] + body if body else str(mag)
-            yield sign + body
-        first = False
-    if as_json:
-        yield "]}"
-    elif first:
-        yield "0"
+def _document(n: int, m: int, fmt: str, batches):
+    """The chunks of a rendering, a list per batch of terms: each term with its
+    separator, sign and coefficient, json's envelope, or "0" for a text
+    without terms.  A batch lists (body, coefficient), a body being the term's
+    formatted factors (for json, its members after "coeff"), and one
+    comprehension formats it."""
+    joiner, first = _JOINERS[fmt], True
+    if fmt == "json":
+        yield [f'{{"n":{n},"m":{m},"terms":[']
+    for batch in batches:
+        if fmt == "json":
+            page = [f',{{"coeff":"{c if type(c) is int else _coeff_str(c)}",{b}}}'
+                    for b, c in batch]
+        else:  # mag: the coefficient's magnitude, left out before factors if 1
+            page = [(" - " if c < 0 else " + ") + (b if (mag := -c if c < 0 else c) == 1 and b
+                                                   else f"{mag}{joiner}{b}" if b else str(mag))
+                    for b, c in batch]
+        if first and page:
+            first, head = False, page[0]
+            page[0] = head[1:] if fmt == "json" else head[3:] if head[1] == "+" else "-" + head[3:]
+        yield page
+    yield ["]}"] if fmt == "json" else ["0"] if first else []

@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from itertools import islice, product
 
+from .algebra import _coeff_str
 from .errors import TermCapExceeded, UmfbError
 from .fdbcore import CompositionSpec, MomentTable, _check_cap, _chunks, generalized_bell, umfb
 from .multiindex import as_index, count_partitions, order, partitions
@@ -52,6 +52,7 @@ def _parse_index(text: str):
 
 
 def _parse_vector(text: str):
+    from fractions import Fraction
     try:
         return tuple(Fraction(p) for p in text.split(","))
     except ZeroDivisionError:
@@ -59,10 +60,7 @@ def _parse_vector(text: str):
 
 
 def _rat(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return repr(v) if isinstance(v, float) else _coeff_str(v)
 
 
 def _write(out, chunks, path):

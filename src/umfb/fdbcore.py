@@ -4,34 +4,33 @@ The i-th derivative of f(g_1, ..., g_n) is a sum over the n-tuples of
 partitions A_1, ..., A_n of multi-indices summing to i: each tuple carries the
 integer weight i!/prod_j prod mult! col!^mult over the columns of A_j, the
 outer symbol f[l] with l_j the length of A_j, and one inner factor per column.
-One engine, `_stream`, walks these tuples in canonical term order, and every
-mode reads it.  A shared inner function is its one-function case:
-f(g, ..., g) = h(g) with h^(d) = sum over |l| = d of d!/l! f[l].
+One engine, `_stream`, walks these tuples in canonical term order over the
+partitions of every k <= i from one descent (`_table`), and every mode reads
+it.  A shared inner function is its one-function case: f(g, ..., g) = h(g)
+with h^(d) = sum over |l| = d of d!/l! f[l].
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import product
+from bisect import bisect_right
+from itertools import accumulate, chain, count
 from math import prod
-from operator import itemgetter
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
-from .algebra import _JOINERS, FormulaPoly, _coeff_str, _document, _json_body, _Texts
+from .algebra import _BATCH_TERMS, _JOINERS, FormulaPoly, _coeff_str, _document, _Texts
 from .errors import DimensionMismatch, MissingValue, TermCapExceeded
-from .multiindex import (Index, Partition, as_index, compositions_into, count_partitions,
-                         multi_factorial, multinomial, order, partitions)
+from .multiindex import (Index, _Frozen, as_index, compositions_into, count_partitions,
+                         multi_factorial, multinomial, order)
+from .multiindex import partitions  # noqa: F401  (perfbench/tracing.py patches this name)
 
 DEFAULT_TERM_CAP = 10_000_000
 TERM_CAP_ENV = "UMFB_TERM_CAP"
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(_Frozen):
     """Exact moments (or cumulants) a_i over n-indices i, with a_0 = 1: a
     read-only table of explicit values, complete up to total order K, or
     a_i = 1 at every index of any length (``values`` None; `unity`, n = 1).
@@ -39,20 +38,20 @@ class MomentTable:
     Because ``values`` is read-only, the partial Bell rows the table routes
     memoise on the table (``_bell_rows``) cannot go stale."""
 
-    n: int
-    values: Mapping | None = None
-    _bell_rows: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "values", "_bell_rows")
+    _fields = ("n", "values")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"table dimension n={self.n!r} is not a positive integer")
-        if self.values is not None:
-            values = {as_index(k): v for k, v in self.values.items()}
+    def __init__(self, n: int, values: Mapping | None = None):
+        if type(n) is not int or n < 1:
+            raise ValueError(f"table dimension n={n!r} is not a positive integer")
+        if values is not None:
+            values = {as_index(k): v for k, v in values.items()}
             for k in values:
-                if len(k) != self.n:
-                    raise DimensionMismatch(f"index {k} has length != n={self.n}")
-            object.__setattr__(self, "values", MappingProxyType(values))
-        object.__setattr__(self, "_bell_rows", {(0,) * self.n: [1]})
+                if len(k) != n:
+                    raise DimensionMismatch(f"index {k} has length != n={n}")
+            values = MappingProxyType(values)
+        for name, value in zip(self.__slots__, (n, values, {(0,) * n: [1]})):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def unity(cls) -> "MomentTable":
@@ -61,6 +60,7 @@ class MomentTable:
     @classmethod
     def from_values(cls, values) -> "MomentTable":
         """Univariate table a_1..a_K (a_0 is implicitly 1)."""
+        from fractions import Fraction
         return cls(1, {(k + 1,): Fraction(v) for k, v in enumerate(values)})
 
     def at(self, k):
@@ -79,12 +79,15 @@ class MomentTable:
         return max((order(k) for k in self.values), default=0)
 
     def to_json(self) -> str:
+        import json
         top = self.max_order()
         items = [{"index": list(k), "value": _coeff_str(v)} for k, v in sorted(self.values.items())]
         return json.dumps({"n": self.n, "K": top, "values": items}, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "MomentTable":
+        import json
+        from fractions import Fraction
         try:
             data = json.loads(text)
             n = data["n"]
@@ -94,8 +97,7 @@ class MomentTable:
         return cls(n, values)
 
 
-@dataclass(frozen=True)
-class CompositionSpec:
+class CompositionSpec(_Frozen):
     """Shape of one composite-derivative computation.
 
     ``index`` is the derivative order (length m), ``n`` the number of inner
@@ -104,20 +106,19 @@ class CompositionSpec:
     ``outer=None`` keeps the outer derivatives symbolic.
     """
 
-    index: Index
-    n: int
-    m: int
-    inner_mode: str = "distinct"
-    outer: MomentTable | None = None
+    __slots__ = _fields = ("index", "n", "m", "inner_mode", "outer")
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", as_index(self.index))
-        if len(self.index) != self.m:
-            raise ValueError(f"index {self.index} has length != m={self.m}")
-        if self.n < 1:
+    def __init__(self, index: Index, n: int, m: int, inner_mode: str = "distinct",
+                 outer: MomentTable | None = None):
+        index = as_index(index)
+        if len(index) != m:
+            raise ValueError(f"index {index} has length != m={m}")
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.inner_mode not in ("distinct", "shared"):
-            raise ValueError(f"unknown inner_mode {self.inner_mode!r}")
+        if inner_mode not in ("distinct", "shared"):
+            raise ValueError(f"unknown inner_mode {inner_mode!r}")
+        for name, value in zip(self._fields, (index, n, m, inner_mode, outer)):
+            object.__setattr__(self, name, value)
 
 
 def predict_term_count(index: Index, n: int, columns=None) -> int:
@@ -179,10 +180,8 @@ def umfb(spec: CompositionSpec) -> FormulaPoly:
             acc.update(terms)
     else:
         for lengths, terms in _stream(spec.index, 1 if shared else n, lambda _: (), _inner):
-            if shared:
-                value = sum(w * outer.at(idx) for idx, w in _outer_indices(lengths[0], n))
-            else:
-                value = outer.at(lengths)
+            value = sum(w * outer.at(idx) for idx, w in _outer_indices(lengths[0], n)) \
+                if shared else outer.at(lengths)
             if value != 0:
                 acc.update((key, coeff * value) for key, coeff in terms)
     poly = FormulaPoly(n, spec.m, acc)
@@ -203,8 +202,8 @@ def generalized_bell(i: Index, n: int, m: int) -> FormulaPoly:
     return FormulaPoly(n, m, acc)
 
 
-def _inner(fn: int, columns) -> tuple:
-    return tuple((("g", fn, col), mult) for col, mult in columns)
+def _inner(fn: int, col: Index, mult: int) -> tuple:
+    return ((("g", fn, col), mult),)
 
 
 def _outer_indices(d: int, n: int) -> list:
@@ -213,102 +212,132 @@ def _outer_indices(d: int, n: int) -> list:
             for parts in compositions_into((d,), n)]
 
 
-def _rows(spec: CompositionSpec, start, tag):
+def _rows(spec: CompositionSpec, start, tag, cut=0, tail=None):
     """`_stream` in ``spec``'s inner mode.  Shared mode walks the one-function
     stream, whose row d (the start left empty) becomes one row per l with
     |l| = d, in lex order, each term weighted d!/l!: still `terms()` order."""
     if spec.inner_mode != "shared":
-        yield from _stream(spec.index, spec.n, start, tag)
+        yield from _stream(spec.index, spec.n, start, tag, cut, tail)
         return
-    for (d,), terms in _stream(spec.index, 1, lambda lengths: start(lengths)[:0], tag):
+    for (d,), terms in _stream(spec.index, 1, lambda lengths: start(lengths)[:0], tag, cut, tail):
         for lengths, weight in _outer_indices(d, spec.n):
             head = start(lengths)
             yield lengths, [(head + payload, coeff * weight) for payload, coeff in terms]
 
 
-def _stream(i: Index, n: int, start, tag):
-    """The distinct-mode formula with a symbolic outer, in `terms()` order:
-    (l, terms) for each outer index l, by |l| then lex, terms listing
-    (payload, coefficient) by (A_1, ..., A_n).  A_j is function j's partition,
-    of length l_j, as its (column, multiplicity) tuple; two of one length are
-    never proper prefixes of each other, so this is the order of the keys.
-    The payload is start(l) + tag(1, A_1) + ... + tag(n, A_n), the
-    coefficient i!/prod den(A_j), den = prod mult! col!^mult, carried down by
-    exact division.  Node (r, lengths) lists, by columns, the partitions of
-    some k <= r of length lengths[0] whose rest r - k the later functions can
-    finish with lengths[1:], each with its child node.  Memos live for one call."""
-    plain: dict = {}  # k -> [(columns, length, den)], by columns
-    rows: dict = {}   # (k, j) -> {length: [(columns, payload, den)]}, by columns
-    nodes: dict = {}  # (r, lengths) -> [(columns, payload, den, child)]
-    subs: dict = {}   # r -> [(k, |k|, r - k) for k <= r]
+def _table(i: Index, n: int, tag, empty):
+    """Every partition of every k <= i, from one pre-order descent over the box
+    of i adding columns in increasing lex order, each with multiplicities in
+    increasing order, so visits come in canonical (columns) order.  Keys k_1
+    W^(m-1) + ... + k_m, W = 2 max(i) + 1, sort like indices, and r - c is a
+    key of the box iff c <= r.  Returns box (key -> index), fits (r -> keys
+    c <= r, ascending) and table (k -> length -> [(visit, payloads, den)]),
+    den = prod mult! col!^mult, payloads[j - 1] = empty + tags of function j."""
+    w, box = 2 * max(i) + 1, {0: ()}
+    for e in i:
+        box = {k * w + a: idx + (a,) for k, idx in box.items() for a in range(e + 1)}
+    fits = {r: [c for c in box if r - c in box] for r in box}
+    col_fact = {c: multi_factorial(col) for c, col in box.items()}
+    table = {k: {} for k in box}
+    table[0][0] = [(0, (empty,) * n, 1)]
+    tags: dict = {}
+    visits = count(1)
+    top = max(box)
 
-    def row(k, length, j):
-        got = rows.get((k, j))
-        if got is None:
-            if k not in plain:
-                k_fact = multi_factorial(k)  # the zero index: one empty partition
-                parts = partitions(k) if any(k) else [Partition((), 1)]
-                plain[k] = sorted((p.columns, p.length, k_fact // p.weight) for p in parts)
-            got = rows[k, j] = {}
-            for cols, size, den in plain[k]:
-                got.setdefault(size, []).append((cols, tag(j, cols), den))
-        return got.get(length, ())
+    def descend(k, last, length, den, payloads):
+        cands = fits[top - k]
+        for c in cands[bisect_right(cands, last):]:
+            rest, mult, d = top - k - c, 0, den
+            while rest in box:
+                mult += 1
+                d *= mult * col_fact[c]
+                frag = tags.get((c, mult))
+                if frag is None:
+                    frag = tags[c, mult] = tuple(tag(j, box[c], mult) for j in range(1, n + 1))
+                p = tuple(map(add, payloads, frag))
+                table[top - rest].setdefault(length + mult, []).append((next(visits), p, d))
+                descend(top - rest, c, length + mult, d, p)
+                rest -= c
+
+    descend(0, 0, 0, 1, table[0][0][0][1])
+    return box, fits, table
+
+
+def _stream(i: Index, n: int, start, tag, cut=0, tail=None):
+    """The distinct-mode formula with a symbolic outer, in `terms()` order:
+    (l, terms) by |l| then lex, in pieces of about _BATCH_TERMS terms, each
+    (payload, coefficient) by (A_1, ..., A_n), A_j function j's partition of
+    length l_j (two of one length are never proper prefixes of each other).
+    The payload is start(l), tag(j, col, mult) over the columns of each A_j
+    (the first one less ``cut`` items) and ``tail``; the coefficient is
+    i!/prod den(A_j).  Node (r, lengths) lists, by visit, each partition of a
+    k <= r of length lengths[0] whose rest the later functions can finish,
+    with the rest's node; the node of the last function, or below the top of
+    the last two, lists (payload, den).  A row is a list of groups (prefix,
+    coefficient, such a node), each piece one comprehension over a run."""
+    empty = start((0,) * n)[:0]  # "" or (), as the payloads are strings or tuples
+    box, fits, table = _table(i, n, tag, empty)
+    top, fact, tail = max(box), multi_factorial(i), tail or empty
+    size = {k: sum(idx) for k, idx in box.items()}
+    nodes: dict = {}  # (r, lengths) -> [(visit, payload, den, child)]
 
     def node(r, lengths):
         got = nodes.get((r, lengths))
         if got is None:
             length, rest = lengths[0], lengths[1:]
-            j = n - len(rest)
+            j, c = n - 1 - len(rest), cut if r == top else 0  # r = top: no fragment yet
             if not rest:
-                got = [(*entry, None) for entry in row(r, length, j)]
+                got = [(p[j][c:], d) for _, p, d in table[r].get(length, ())]
             else:
-                got, need, total = [], sum(rest), sum(r)
-                splits = subs.get(r)
-                if splits is None:
-                    splits = subs[r] = [(k, sum(k), tuple(a - b for a, b in zip(r, k)))
-                                        for k in product(*(range(e + 1) for e in r))]
-                # k has a partition of length L iff 1 <= L <= |k|, or k = 0 = L
-                for k, size, left in splits:
-                    if (0 < length <= size or length == size == 0) and (
-                            0 < need <= total - size or need == total - size == 0):
-                        child = node(left, rest)
-                        got += [(*entry, child) for entry in row(k, length, j)]
+                got, need, total = [], sum(rest), size[r]
+                for k in fits[r]:  # the rest is finished iff 0 < need <= |r - k|, or both 0
+                    left = total - size[k]
+                    if length in table[k] and (0 < need <= left or need == left == 0):
+                        child = node(r - k, rest)
+                        got += [(q, p[j][c:], d, child) for q, p, d in table[k][length]]
                 got.sort(key=itemgetter(0))
-            nodes[r, lengths] = got
+                if len(rest) == 1 < n - 1:
+                    got = [(p + q, d * e) for _, p, d, last in got for q, e in last]
+            if r != top:  # a node of the whole i is read once
+                nodes[r, lengths] = got
         return got
 
-    def walk(entries, coeff, acc, out):
-        if entries[0][3] is None:
-            out += [(acc + payload, coeff // den) for _, payload, den, _ in entries]
+    def collect(entries, coeff, acc, depth, groups):
+        if depth == 1 or depth == 2 < n:
+            groups.append((acc, coeff, entries))
+        elif depth <= 3:
+            groups += [(acc + p, coeff // d, last) for _, p, d, last in entries]
         else:
-            for _, payload, den, child in entries:
-                walk(child, coeff // den, acc + payload, out)
+            for _, p, d, child in entries:
+                collect(child, coeff // d, acc + p, depth - 1, groups)
 
-    top = multi_factorial(i)
-    for d in range(order(i) + 1):
+    for d in range(size[top] + 1):
         for parts in compositions_into((d,), n):
             lengths = tuple(a for (a,) in parts)
-            entries = node(i, lengths)
+            entries, groups = node(top, lengths), []
             if entries:
-                out: list = []
-                walk(entries, top, start(lengths), out)
-                yield lengths, out
+                collect(entries, fact, start(lengths), n, groups)
+            ends, first = [0, *accumulate(map(len, map(itemgetter(2), groups)))], 0
+            while first < len(groups):  # ends[g]: the terms of the groups before g
+                stop = max(first + 1, bisect_right(ends, ends[first] + _BATCH_TERMS) - 1)
+                yield lengths, [(acc + p + tail, coeff // den) for acc, coeff, last in
+                                groups[first:stop] for p, den in last]
+                first = stop
 
 
 def _chunks(spec: CompositionSpec, fmt: str):
     """`umfb(spec).chunks(fmt)` for a symbolic outer, from `_rows`: the cap is
-    checked on the call, and each outer symbol and each (function, partition)
-    fragment is formatted once."""
+    checked on the call, and each outer symbol and each (function, column,
+    multiplicity) fragment is formatted once."""
     _check_cap(spec.index, spec.n)
     joiner, texts = _JOINERS[fmt], _Texts(fmt)
 
-    def fragment(fn, columns):
-        return "".join([joiner + texts[("g", fn, col), mult] for col, mult in columns])
+    def fragment(fn, col, mult):
+        return joiner + texts[("g", fn, col), mult]
 
-    def bodies():
-        for lengths, terms in _rows(spec, lambda lengths: "", fragment):
-            outer = texts[("f", lengths), 1]
-            for inner, coeff in terms:
-                yield coeff, _json_body(outer, inner[1:], "") if fmt == "json" else outer + inner
-
-    return _document(spec.n, spec.m, fmt, bodies())
+    if fmt != "json":
+        rows = _rows(spec, lambda lengths: texts[("f", lengths), 1], fragment)
+    else:  # no comma after the head's "["
+        rows = _rows(spec, lambda lengths: f'"outer":{texts[("f", lengths), 1]},"inner":[',
+                     fragment, 1, '],"vars":[]')
+    return chain.from_iterable(_document(spec.n, spec.m, fmt, (terms for _, terms in rows)))

@@ -3,15 +3,14 @@
 A multi-index is a tuple of nonnegative integers.  This module provides the
 factorial and multinomial coefficients attached to multi-indices, the ordered
 decompositions of an index into a fixed number of parts, and the enumeration
-of its partitions (multisets of nonzero column indices), which drive the
-compressed chain-rule expansion downstream.
+of its partitions (multisets of nonzero column indices), optionally with
+restricted columns; `fdbcore` lists every k <= i in one descent of its own.
 
 All arithmetic is exact big-integer arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
@@ -79,8 +78,40 @@ def compositions_into(i: Index, n: int) -> Iterator[tuple[Index, ...]]:
             yield (head,) + tail
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Frozen:
+    """A frozen dataclass's equality, hash, repr (over ``_fields``), errors and
+    copies, without importing `dataclasses` before an assignment fails."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return type(self), tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __setattr__(self, name, value, verb="assign to"):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None, "delete")
+
+
+class Partition(_Frozen):
     """A partition of a multi-index: a multiset of nonzero columns.
 
     ``columns`` holds (column, multiplicity) pairs with the distinct columns
@@ -89,8 +120,12 @@ class Partition:
     coefficient, carried down the enumeration.
     """
 
-    columns: tuple[tuple[Index, int], ...]
-    weight: int = field(compare=False, repr=False)
+    __slots__ = ("columns", "weight")
+    _fields = ("columns",)
+
+    def __init__(self, columns: tuple[tuple[Index, int], ...], weight: int):
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def length(self) -> int:

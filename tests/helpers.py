@@ -161,10 +161,7 @@ def reference_render(n, m, terms, fmt):
                     inner.append({"fn": sym[1], "index": list(sym[2]), "pow": exp})
                 else:
                     variables.append({"j": sym[1], "pow": exp})
-            if isinstance(coeff, Fraction) and coeff.denominator != 1:
-                text = f"{coeff.numerator}/{coeff.denominator}"
-            else:
-                text = str(int(coeff))
+            text = str(Fraction(coeff))  # "p/q" or "p"; a float as its exact rational
             rows.append({"coeff": text, "outer": outer, "inner": inner, "vars": variables})
         return json.dumps({"n": n, "m": m, "terms": rows}, separators=(",", ":"))
     if not ordered:

@@ -191,6 +191,7 @@ def test_render_matches_reference_on_arithmetic():
         FormulaPoly(2, 2, {(): 1}),
         FormulaPoly(2, 2, {(): 1}).scale(-2),
         FormulaPoly(2, 2, {(): 1}).scale(Fraction(-1, 3)),
+        FormulaPoly(2, 2, {(): 2.5}),  # json "5/2", not "2"
         mono(2, 2, Fraction(4, 2), {x1: 1}),
         a, b, a - b, a * b, b * b, a.scale(Fraction(2, 5)), (a + b) * (a - b),
         a - a,
@@ -207,6 +208,9 @@ def test_render_rejects_a_non_simple_outer_factor():
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys(), st.sampled_from([1, -1, Fraction(1, 2), Fraction(-7, 3)]))
+@given(small_polys(), st.one_of(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-7, 3)]),
+                                st.floats(-100, 100)))
 def test_render_matches_reference(p, c):
+    # a float scale makes float coefficients: text writes them as floats, json
+    # as exact rationals
     assert_renders_like_reference(p.scale(c))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -12,12 +14,13 @@ from umfb.fdbcore import (
     CompositionSpec,
     MomentTable,
     _check_cap,
+    _table,
     dot_power_expansion,
     generalized_bell,
     predict_term_count,
     umfb,
 )
-from umfb.multiindex import count_partitions, order
+from umfb.multiindex import count_partitions, multi_factorial, order, partitions
 from umfb.oracle import chain_rule_derivative, relabel_shared
 
 from helpers import (
@@ -150,6 +153,34 @@ def test_bell_number_invariant():
             outer=lambda k: 1, inner=[lambda k: 1]
         )
         assert value == bell_number(d)
+
+
+def test_one_descent_lists_the_partitions_of_every_k_in_canonical_order():
+    """`_table` visits the partitions of every k <= i in one descent: for each
+    k exactly `partitions(k)`, each once with its length and weight k!/den,
+    in canonical (columns) order, and the visit numbers order the columns
+    across all k, which is how `_stream` merges the partitions of several k.
+    Every |i| <= 5 with m <= 3, and (6,5)."""
+    expected = {}
+    for i in [*(i for m in (1, 2, 3) for i in all_indices(m, 5)), (6, 5)]:
+        box, _, table = _table(i, 2, lambda j, col, mult: ((j, col, mult),), ())
+        visits = []
+        for key, by_length in table.items():
+            k = box[key]
+            if k not in expected:  # the zero index has one partition, the empty one
+                expected[k] = sorted((p.columns, p.length, p.coefficient())
+                                     for p in partitions(k)) if any(k) else [((), 0, 1)]
+            got = sorted((visit, length, payloads, den) for length, entries in by_length.items()
+                         for visit, payloads, den in entries)
+            assert all(payloads[1] == tuple((2, c, e) for _, c, e in payloads[0])
+                       for _, _, payloads, _ in got), (i, k)
+            columns = [tuple((c, e) for _, c, e in payloads[0]) for _, _, payloads, _ in got]
+            assert [(cols, length, multi_factorial(k) // den)
+                    for cols, (_, length, _, den) in zip(columns, got)] == expected[k], (i, k)
+            assert all(multi_factorial(k) % den == 0 for *_, den in got), (i, k)
+            visits += [(visit, cols) for (visit, *_), cols in zip(got, columns)]
+        visits.sort()
+        assert all(a[1] < b[1] for a, b in zip(visits, visits[1:])), i
 
 
 def test_term_count_n1_equals_partition_count():
@@ -375,3 +406,16 @@ def test_moment_sequence_kinds():
         seq.at(3)
     table = MomentTable(2, {(1, 0): Fraction(1, 2), (0, 0): 5})
     assert table.at((0, 0)) == 1 and table.at((1, 0)) == Fraction(1, 2)
+
+
+def test_records_copy_and_pickle_through_their_constructors():
+    """`CompositionSpec`, `Partition` and `MomentTable` are frozen: copies and
+    pickles are built by the constructor, not by assigning fields."""
+    table = MomentTable(2, {(1, 0): Fraction(1, 2)})
+    spec = CompositionSpec((2, 1), 2, 2, inner_mode="shared")
+    part = next(partitions((2, 1)))
+    for record in (spec, part, table):
+        assert copy.copy(record) == record
+    for record in (spec, part):
+        assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+    assert pickle.loads(pickle.dumps(part)).weight == part.weight

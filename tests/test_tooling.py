@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -87,29 +88,44 @@ def test_public_names_resolve_once():
 
 def test_compute_child_loads_no_numeric_or_oracle_module():
     """`python -m umfb.cli compute` imports only what the command uses, in
-    the general, shared-inner and bell modes alike."""
+    every mode and format: not `special` or `oracle`, and, beyond what an
+    empty interpreter loads, none of `dataclasses`, `inspect`, `json` and
+    `fractions`.  The child's outputs are those of `cli.main` in process."""
+    from umfb import cli
+
+    argvs = [["compute", "-i", "1,1", "--mode", mode, "--format", fmt]
+             for fmt in ("text", "latex", "json")
+             for mode in ("general", "shared-inner", "bell", "uni-outer")]
     script = (
         "import runpy, sys\n"
-        "for mode in ('general', 'shared-inner', 'bell'):\n"
-        "    sys.argv = ['umfb', 'compute', '-i', '1,1', '--mode', mode]\n"
+        f"for argv in {argvs!r}:\n"
+        "    sys.argv = ['umfb', *argv]\n"
         "    try:\n"
         "        runpy.run_module('umfb.cli', run_name='__main__', alter_sys=True)\n"
         "    except SystemExit as exc:\n"
         "        assert not exc.code, exc.code\n"
-        "print(sorted(name for name in sys.modules if name.startswith('umfb')))\n"
+        "print(sorted(sys.modules))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
+    empty, done = (subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True)
+                   for code in ("import sys; print(sorted(sys.modules))", script))
     *out, loaded = done.stdout.splitlines()
-    assert out == [
+    assert out[:4] == [
         "f[0,1]*g2[1,1] + f[1,0]*g1[1,1] + f[0,2]*g2[0,1]*g2[1,0] + "
         "f[1,1]*g1[0,1]*g2[1,0] + f[1,1]*g1[1,0]*g2[0,1] + f[2,0]*g1[0,1]*g1[1,0]",
         "f[0,1]*g1[1,1] + f[1,0]*g1[1,1] + f[0,2]*g1[0,1]*g1[1,0] + "
         "2*f[1,1]*g1[0,1]*g1[1,0] + f[2,0]*g1[0,1]*g1[1,0]",
         "g1[1,1]*x1 + g2[1,1]*x2 + g1[0,1]*g1[1,0]*x1^2 + g1[0,1]*g2[1,0]*x1*x2 + "
         "g1[1,0]*g2[0,1]*x1*x2 + g2[0,1]*g2[1,0]*x2^2",
+        "f[1]*g1[1,1] + f[2]*g1[0,1]*g1[1,0]",
     ]
-    assert "umfb.fdbcore" in loaded
-    assert "umfb.special" not in loaded and "umfb.oracle" not in loaded
+    for argv, line in zip(argvs, out, strict=True):
+        buffer = io.StringIO()
+        assert cli.main(argv, out=buffer) == 0
+        assert buffer.getvalue() == line + "\n", argv
+    added = set(ast.literal_eval(loaded)) - set(ast.literal_eval(empty.stdout))
+    assert "umfb.fdbcore" in added
+    assert added & {"umfb.special", "umfb.oracle", "dataclasses", "inspect", "json",
+                    "fractions"} == set()
