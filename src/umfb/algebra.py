@@ -87,11 +87,11 @@ class FormulaPoly:
         acc: dict[Factors, int | Fraction] = {}
         for coeff, factors in terms:
             if not isinstance(factors, tuple):
-                factors = tuple(sorted((s, e) for s, e in factors.items() if e))
+                factors = merge_factors((s, e) for s, e in factors.items() if e)
                 if any(e < 0 for _, e in factors):
                     raise ValueError("factor exponents must be positive")
-            acc[factors] = acc.get(factors, 0) + coeff
-        return cls(n, m, {k: c for k, c in acc.items() if c != 0})
+            add_term(acc, factors, coeff)
+        return cls(n, m, acc)
 
     # -- inspection --------------------------------------------------------
 
@@ -181,7 +181,7 @@ class FormulaPoly:
         inner = inner or []
         acc: dict[Factors, int | Fraction] = {}
         for factors, coeff in self._terms.items():
-            kept: dict[Symbol, int] = {}
+            kept: list[tuple[Symbol, int]] = []
             for sym, exp in factors:
                 lookup = None
                 key = None
@@ -192,13 +192,13 @@ class FormulaPoly:
                 elif sym[0] == "x" and variables is not None:
                     lookup, key = variables, sym[1]
                 if lookup is None:
-                    kept[sym] = kept.get(sym, 0) + exp
+                    kept.append((sym, exp))
                 else:
                     coeff = coeff * _lookup_value(lookup, key) ** exp
                     if coeff == 0:
                         break
             else:
-                add_term(acc, tuple(sorted(kept.items())), coeff)
+                add_term(acc, merge_factors(kept), coeff)
         out = FormulaPoly(self.n, self.m, acc)
         const = out.constant_value()
         return out if const is None else const
@@ -309,19 +309,14 @@ class _Texts(dict):
 
 
 def _json_factors(factors: Factors, parts: list) -> str:
-    """A json term's members after "coeff", its factors' fragments sorted by member."""
-    outer = None
-    inner, variables = [], []
-    for (sym, _), part in zip(factors, parts):
-        if sym[0] == "f":
-            if outer is not None:
-                raise ValueError("term has a non-simple outer factor")
-            outer = part
-        elif sym[0] == "g":
-            inner.append(part)
-        else:
-            variables.append(part)
-    return f'"outer":{outer or "null"},"inner":[{",".join(inner)}],"vars":[{",".join(variables)}]'
+    """A json term's members after "coeff": canonical factors come outer, then
+    inner, then variables ('f' < 'g' < 'x'), so each member is a slice."""
+    kinds = [sym[0] for sym, _ in factors]
+    f, g = kinds.count("f"), kinds.count("g")
+    if f > 1:
+        raise ValueError("term has a non-simple outer factor")
+    outer = parts[0] if f else "null"
+    return f'"outer":{outer},"inner":[{",".join(parts[f:f + g])}],"vars":[{",".join(parts[f + g:])}]'
 
 
 def _document(n: int, m: int, fmt: str, batches):

@@ -15,14 +15,14 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from itertools import accumulate, chain, count
-from math import prod
+from math import isqrt, prod
 from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import _BATCH_TERMS, _JOINERS, FormulaPoly, _coeff_str, _document, _Texts
 from .errors import DimensionMismatch, MissingValue, TermCapExceeded
-from .multiindex import (Index, _Frozen, as_index, compositions_into, count_partitions,
+from .multiindex import (Index, _Frozen, _box, as_index, compositions_into, count_partitions,
                          multi_factorial, multinomial, order)
 from .multiindex import partitions  # noqa: F401  (perfbench/tracing.py patches this name)
 
@@ -140,9 +140,15 @@ def _check_cap(index: Index, n: int, columns=None):
         limit = -1
     if limit < 0:
         raise ValueError(f"{TERM_CAP_ENV}={env!r} is not a nonnegative integer")
-    # Tuples over the axis columns only split into one integer-partition
-    # n-tuple per coordinate: a lower bound on the count, at a fraction of its cost.
-    bound = prod(count_partitions((e,), n) for e in index if e) if columns is None else 0
+    # Lower bounds on the count, cheapest first.  p(e) >= 2^(k-1) when
+    # k(k+1)/2 <= e: each subset of {2..k}, padded with ones, is a partition
+    # of e (k is capped so the message stays short).  Tuples over the axis
+    # columns split into one integer-partition n-tuple per coordinate, O(n e^2).
+    bound, bits = 0, limit.bit_length()
+    if columns is None:
+        bound = prod(2 ** min((isqrt(8 * e + 1) - 1) // 2 - 1, bits) for e in index if e)
+        if bound <= limit:
+            bound = prod(count_partitions((e,), n) for e in index if e)
     predicted = bound if bound > limit else predict_term_count(index, n, columns)
     if predicted > limit:
         raise TermCapExceeded(
@@ -226,16 +232,13 @@ def _rows(spec: CompositionSpec, start, tag, cut=0, tail=None):
 
 
 def _table(i: Index, n: int, tag, empty):
-    """Every partition of every k <= i, from one pre-order descent over the box
-    of i adding columns in increasing lex order, each with multiplicities in
-    increasing order, so visits come in canonical (columns) order.  Keys k_1
-    W^(m-1) + ... + k_m, W = 2 max(i) + 1, sort like indices, and r - c is a
-    key of the box iff c <= r.  Returns box (key -> index), fits (r -> keys
-    c <= r, ascending) and table (k -> length -> [(visit, payloads, den)]),
-    den = prod mult! col!^mult, payloads[j - 1] = empty + tags of function j."""
-    w, box = 2 * max(i) + 1, {0: ()}
-    for e in i:
-        box = {k * w + a: idx + (a,) for k, idx in box.items() for a in range(e + 1)}
+    """Every partition of every k <= i, from one pre-order descent over the
+    `_box` of i adding columns in increasing lex order, each with
+    multiplicities in increasing order, so visits come in canonical (columns)
+    order.  Returns box (key -> index), fits (r -> keys c <= r, ascending)
+    and table (k -> length -> [(visit, payloads, den)]), den = prod mult!
+    col!^mult, payloads[j - 1] = empty + tags of function j."""
+    box = _box(i)
     fits = {r: [c for c in box if r - c in box] for r in box}
     col_fact = {c: multi_factorial(col) for c, col in box.items()}
     table = {k: {} for k in box}

@@ -141,33 +141,34 @@ class Partition(_Frozen):
         return self.weight
 
 
+def _box(i: Index) -> dict:
+    """{key: k} for every k <= i, in lex order.  The key of k is k_1 W^(m-1)
+    + ... + k_m with odd W = 2 max(i) + 1: keys sort like their indices, and
+    for keys c, r of the box r - c has digits in [-W//2, W//2], which balanced
+    base W reads back uniquely, so r - c is a key of the box iff c <= r."""
+    w, box = 2 * max(i) + 1, {0: ()}
+    for e in i:
+        box = {k * w + a: idx + (a,) for k, idx in box.items() for a in range(e + 1)}
+    return box
+
+
 def _reach(i: Index, columns=None, n: int = 1):
     """Validate i and return, for the nonzero columns <= i (all of them, or
     those among ``columns``) in decreasing lex order: the columns and their
-    flat keys; the coefficients of x^k, k <= i, in prod_c (1 - x^c)^(-n); for
+    `_box` keys; the coefficients of x^k, k <= i, in prod_c (1 - x^c)^(-n); for
     each k reachable at n = 1, the last p with k a sum of cols[p:]; the key of i.
 
-    Keys are sum_s k_s W^(m-1-s) with odd W = 2 max(i) + 1: they sort like
-    their indices, and k - c has digits in [-W//2, W//2], which balanced base
-    W reads back uniquely, so a difference with a negative entry is never a
-    key in the box.  Each factor 1/(1 - x^c) is one in-place forward pass
-    over the box in lex order (count[k] is complete before it is added into
-    count[k + c]), from the last column back, so the first pass that reaches
-    k records its last position."""
+    Each factor 1/(1 - x^c) is one in-place forward pass over the box in lex
+    order (count[k] is complete before it is added into count[k + c]), from
+    the last column back, so the first pass that reaches k records its last
+    position."""
     i = as_index(i)
     if order(i) == 0:
         raise ZeroIndex("the zero multi-index has no partitions")
-    w = 2 * max(i) + 1
-    strides = [w ** (len(i) - 1 - s) for s in range(len(i))]
-    box = [0]
-    for e, stride in zip(i, strides):
-        box = [k + a * stride for k in box for a in range(e + 1)]
-    if columns is None:
-        cols = list(product(*(range(e + 1) for e in i)))[:0:-1]
-    else:
-        cols = sorted({c for c in map(tuple, columns) if len(c) == len(i) and any(c)
-                       and all(0 <= a <= b for a, b in zip(c, i))}, reverse=True)
-    keys = [sum(a * s for a, s in zip(c, strides)) for c in cols]
+    box = _box(i)
+    wanted = None if columns is None else set(map(tuple, columns))
+    keys = [k for k, c in reversed(box.items()) if k and (wanted is None or c in wanted)]
+    cols = [box[k] for k in keys]
     count = dict.fromkeys(box, 0)
     count[0] = 1
     last = {0: len(keys)}
@@ -180,7 +181,7 @@ def _reach(i: Index, columns=None, n: int = 1):
                     count[k + c] = old + v
                     if not old:
                         last[k + c] = pos
-    return cols, keys, count, last, box[-1]
+    return cols, keys, count, last, max(box)
 
 
 def partitions(i: Index, columns=None) -> Iterator[Partition]:

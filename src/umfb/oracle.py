@@ -39,40 +39,19 @@ def differentiate_once(state: DerivativeState, r: int) -> DerivativeState:
         raise ValueError(f"variable index {r} out of range 1..{m}")
     e_r = tuple(1 if a == r - 1 else 0 for a in range(m))
     acc: dict = {}
-
-    def emit(factors: dict, coeff):
-        key = tuple(sorted(factors.items()))
-        v = acc.get(key, 0) + coeff
-        if v == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = v
-
     for factors, coeff in poly._terms.items():
         for pos, (sym, exp) in enumerate(factors):
-            base = dict(factors)
-            if exp == 1:
-                del base[sym]
-            else:
-                base[sym] = exp - 1
+            # the term with one power of sym taken off, times d(sym)/dt_r
+            rest = factors[:pos] + ((sym, exp - 1),) * (exp > 1) + factors[pos + 1:]
             c = coeff * exp
             if sym[0] == "f":
-                outer_index = sym[1]
                 for j in range(n):
-                    bumped = tuple(
-                        e + 1 if a == j else e for a, e in enumerate(outer_index)
-                    )
-                    branch = dict(base)
-                    branch[("f", bumped)] = branch.get(("f", bumped), 0) + 1
-                    g = ("g", j + 1, e_r)
-                    branch[g] = branch.get(g, 0) + 1
-                    emit(branch, c)
+                    bumped = tuple(e + 1 if a == j else e for a, e in enumerate(sym[1]))
+                    new = ((("f", bumped), 1), (("g", j + 1, e_r), 1))
+                    add_term(acc, merge_factors(rest + new), c)
             elif sym[0] == "g":
-                bumped_idx = tuple(a + b for a, b in zip(sym[2], e_r))
-                branch = dict(base)
-                new = ("g", sym[1], bumped_idx)
-                branch[new] = branch.get(new, 0) + 1
-                emit(branch, c)
+                bumped = tuple(a + b for a, b in zip(sym[2], e_r))
+                add_term(acc, merge_factors(rest + ((("g", sym[1], bumped), 1),)), c)
             # variables are constants under d/dt_r: contribute nothing
 
     applied = tuple(

@@ -5,8 +5,8 @@ Everything here is a numeric evaluation of the partition expansion: an
 outer weight sequence w composed with an inner multi-index sequence v, i.e.
 sum_k w(k) B_{i,k}(v) over the multivariate partial Bell polynomials B.  The
 table and Hermite routes read B from rows filled once per inner sequence by a
-first-order recurrence (`_bell_row`); `hermite_via_bell` keeps the explicit
-partition enumeration (`_partition_sum`) as an independent route.
+first-order recurrence (`_bell_row`); `hermite_via_bell` keeps an explicit
+partition enumeration as an independent route.
 """
 
 from __future__ import annotations
@@ -24,25 +24,6 @@ FLOAT_PIVOT_TOL = 1e-12
 
 # perfbench/workloads.py builds its Poisson rates as MomentSequence.from_values.
 MomentSequence = MomentTable
-
-
-def _partition_sum(i: Index, outer_weight, column_value, total=0):
-    """Sum over the partitions p of i of outer_weight(length) * coefficient(p)
-    * product of column_value(col)^mult, added to ``total``.  Only partitions
-    whose columns all have a nonzero value are enumerated, once their count
-    has passed the term cap."""
-    values = {c: v for c in product(*(range(e + 1) for e in i))
-              if any(c) and (v := column_value(c)) != 0}
-    _check_cap(i, 1, values)
-    for p in partitions(i, values):
-        w = outer_weight(p.length)
-        if w == 0:
-            continue
-        val = w * p.coefficient()
-        for col, mult in p.columns:
-            val *= values[col] ** mult
-        total += val
-    return total
 
 
 def _bell_row(memo: dict, i: Index, column_value) -> list:
@@ -256,7 +237,9 @@ def hermite(i: Index, sigma: SymmetricMatrix, x, scaled: str = "H"):
 def hermite_via_bell(i: Index, sigma: SymmetricMatrix, x):
     """The same polynomial computed as a single partition sum over a shifted
     quadratic moment sequence (order-1 moments x*Sigma^-1, order-2 moments
-    Sigma^-1); must agree with `hermite(..., scaled='H')` exactly."""
+    Sigma^-1): (-1)^|i| sum_p (-1)^length(p) coefficient(p) prod moment(col)^mult
+    over the partitions of i into columns of nonzero moment, once their count
+    has passed the term cap.  Must agree with `hermite(..., scaled='H')` exactly."""
     i = as_index(i)
     _check_dimensions(i, sigma, x)
     zero = _zero(sigma, x)
@@ -273,7 +256,15 @@ def hermite_via_bell(i: Index, sigma: SymmetricMatrix, x):
             return inv.entry_at(col)
         return 0
 
-    total = _partition_sum(i, lambda k: (-1) ** k, moment, zero)
+    values = {c: v for c in product(*(range(e + 1) for e in i))
+              if any(c) and (v := moment(c)) != 0}
+    _check_cap(i, 1, values)
+    total = zero
+    for p in partitions(i, values):
+        val = (-1) ** p.length * p.coefficient()
+        for col, mult in p.columns:
+            val *= values[col] ** mult
+        total += val
     return (-1) ** order(i) * total
 
 

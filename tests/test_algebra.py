@@ -131,6 +131,8 @@ symbols_pool = [
     inner_symbol(1, (1, 0)),
     inner_symbol(1, (0, 1)),
     inner_symbol(2, (1, 1)),
+    var_symbol(1),
+    var_symbol(2),
 ]
 
 
@@ -162,8 +164,9 @@ def test_ring_axioms(p, q, r):
 def test_substitute_is_ring_homomorphism(p, q):
     outer = {(1, 0): Fraction(2), (0, 1): Fraction(-1, 2)}
     inner = [{(1, 0): 3, (0, 1): Fraction(1, 3)}, {(1, 1): Fraction(-2)}]
-    lhs = (p * q).substitute(outer=outer, inner=inner)
-    rhs = p.substitute(outer=outer, inner=inner) * q.substitute(outer=outer, inner=inner)
+    values = dict(outer=outer, inner=inner, variables={1: Fraction(5, 4), 2: -3})
+    lhs = (p * q).substitute(**values)
+    rhs = p.substitute(**values) * q.substitute(**values)
     assert lhs == rhs
 
 

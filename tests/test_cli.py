@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from umfb.fdbcore import CompositionSpec, umfb
 from umfb.special import MomentTable
 
 from helpers import all_indices, reference_render
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv, monkeypatch=None):
@@ -367,6 +373,18 @@ def test_hermite_bell_route_is_capped_by_its_support(monkeypatch):
     code, out, err = run(argv)
     assert code == 3 and out == ""
     assert "predicted 10 terms" in err and "UMFB_TERM_CAP=9" in err
+
+
+def test_term_cap_refuses_a_huge_coordinate_at_once():
+    # the closed-form floor p(e) >= 2^(k-1), k(k+1)/2 <= e, refuses before the
+    # O(e^2) axis count: the child exits well inside the timeout
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("UMFB_TERM_CAP", None)
+    done = subprocess.run([sys.executable, "-m", "umfb.cli", "compute", "-i", "100000"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 3 and done.stdout == ""
+    assert "predicted at least" in done.stderr and "UMFB_TERM_CAP=10000000" in done.stderr
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from umfb.errors import PartsMismatch, ZeroIndex
 from umfb.multiindex import (
     Partition,
+    _box,
+    _reach,
     compositions_into,
     count_partitions,
     multi_factorial,
@@ -239,3 +241,31 @@ def test_zero_index_rejected_with_a_support():
         next(partitions((0, 0), [(1, 0)]))
     with pytest.raises(ZeroIndex):
         count_partitions((0,), 1, [(1,)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=4).filter(any), st.data())
+def test_box_keys_sort_like_indices_and_subtract_exactly(i, data):
+    """`_box` is the one flat-key encoding of the indices k <= i: keys ascend
+    with the lex order of their indices, and r - c is a key iff c <= r, the
+    key of r minus c; `_reach` picks its columns from it."""
+    i = tuple(i)
+    box = _box(i)
+    indices = list(product(*(range(e + 1) for e in i)))
+    assert list(box.values()) == indices and list(box) == sorted(box)
+    keys = list(box)
+    for _ in range(40):
+        r, c = data.draw(st.sampled_from(keys)), data.draw(st.sampled_from(keys))
+        fits = all(a <= b for a, b in zip(box[c], box[r]))
+        assert (r - c in box) == fits, (box[r], box[c])
+        if fits:
+            assert box[r - c] == tuple(a - b for a, b in zip(box[r], box[c]))
+    support = data.draw(st.lists(st.sampled_from(indices), max_size=12)
+                        | st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5)
+                                   .map(tuple), max_size=12))
+    for columns in (None, support) if len(box) <= 500 else (support,):  # a pass per column
+        cols, col_keys, *_ = _reach(i, columns)
+        expected = [c for c in (indices if columns is None else columns)
+                    if len(c) == len(i) and any(c) and all(a <= b for a, b in zip(c, i))]
+        assert cols == sorted(set(expected), reverse=True)
+        assert [box[k] for k in col_keys] == cols
